@@ -11,6 +11,8 @@
 package gtc
 
 import (
+	"sync"
+
 	"repro/internal/apps/apputil"
 	"repro/internal/core"
 	"repro/internal/kernels"
@@ -61,35 +63,94 @@ const (
 )
 
 type app struct {
-	rt     core.Runner
-	cfg    Config
-	clock  *apputil.Clock
+	rt    core.Runner
+	cfg   Config
+	clock *apputil.Clock
+	*state
+}
+
+// state is one replica's start state: the zone particle arrays and the
+// grids. A run mutates all of it, so it is rebuilt for every run: init
+// overwrites every element, exactly as a freshly allocated state would
+// start.
+type state struct {
 	zones  []*kernels.Particles
 	zoneC0 []float64 // first cell of each zone
 	zoneC1 []float64
+	zidx   []float64 // zone indices, the backing of the tasks' zone arguments
 	rho    []float64
 	phi    []float64
 }
 
+func (st *state) init(cfg Config) {
+	perZone := cfg.Cells / cfg.Zones
+	st.zoneC0, st.zoneC1, st.zidx = st.zoneC0[:0], st.zoneC1[:0], st.zidx[:0]
+	for z := 0; z < cfg.Zones; z++ {
+		c0 := float64(z * perZone)
+		c1 := float64((z + 1) * perZone)
+		st.zoneC0 = append(st.zoneC0, c0)
+		st.zoneC1 = append(st.zoneC1, c1)
+		st.zidx = append(st.zidx, float64(z))
+		if z == len(st.zones) {
+			st.zones = append(st.zones, new(kernels.Particles))
+		}
+		st.zones[z].Init(perZone*cfg.PerCell, c0, c1)
+	}
+	st.zones = st.zones[:cfg.Zones]
+	st.rho = append(st.rho[:0], make([]float64, cfg.Cells)...)
+	st.phi = append(st.phi[:0], make([]float64, cfg.Cells)...)
+}
+
+// statePool recycles the start states of one app binding's runs, so the
+// replicas of a campaign's trials re-initialize their predecessors'
+// particle arrays instead of allocating their own. It holds at most as
+// many states as runs of the binding were ever live at once.
+type statePool struct {
+	mu   sync.Mutex
+	free []*state
+}
+
+// get returns an initialized start state for cfg.
+func (sp *statePool) get(cfg Config) *state {
+	sp.mu.Lock()
+	var st *state
+	if n := len(sp.free); n > 0 {
+		st = sp.free[n-1]
+		sp.free[n-1] = nil
+		sp.free = sp.free[:n-1]
+	}
+	sp.mu.Unlock()
+	if st == nil {
+		st = new(state)
+	}
+	st.init(cfg)
+	return st
+}
+
+// put returns a state whose run has ended.
+func (sp *statePool) put(st *state) {
+	sp.mu.Lock()
+	sp.free = append(sp.free, st)
+	sp.mu.Unlock()
+}
+
 // Run executes the GTC surrogate on the calling logical process.
 func Run(rt core.Runner, cfg Config) (*Result, error) {
+	return run(rt, cfg, new(statePool))
+}
+
+// run is Run drawing its start state from pool. The state goes back when
+// the run ends, however it ends: nothing outside the replica references
+// its memory (update messages and inout snapshots are copies).
+func run(rt core.Runner, cfg Config, pool *statePool) (*Result, error) {
 	if cfg.Zones <= 0 {
 		cfg.Zones = 8
 	}
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
 	}
-	a := &app{rt: rt, cfg: cfg, clock: apputil.NewClock(rt)}
-	a.rho = make([]float64, cfg.Cells)
-	a.phi = make([]float64, cfg.Cells)
-	perZone := cfg.Cells / cfg.Zones
-	for z := 0; z < cfg.Zones; z++ {
-		c0 := float64(z * perZone)
-		c1 := float64((z + 1) * perZone)
-		a.zoneC0 = append(a.zoneC0, c0)
-		a.zoneC1 = append(a.zoneC1, c1)
-		a.zones = append(a.zones, kernels.NewParticles(perZone*cfg.PerCell, c0, c1))
-	}
+	a := &app{rt: rt, cfg: cfg, clock: apputil.NewClock(rt), state: pool.get(cfg)}
+	defer pool.put(a.state)
 	start := rt.Now()
 	for step := 0; step < cfg.Steps; step++ {
 		if err := a.charge(); err != nil {
@@ -149,11 +210,9 @@ func (a *app) charge() error {
 			w := kernels.ChargeDeposit(ps.Psi, ps.W, a.rho[lo:hi], a.zoneC0[z])
 			c.Compute(w.Scale(a.cfg.Scale))
 		}, core.Out, core.In)
-		zidx := make([]float64, a.cfg.Zones)
 		for z := 0; z < a.cfg.Zones; z++ {
 			lo, hi := int(a.zoneC0[z]), int(a.zoneC1[z])
-			zidx[z] = float64(z)
-			a.rt.TaskLaunch(id, core.Scaled(core.Float64s(a.rho[lo:hi]), a.cfg.Scale), core.Scalar{P: &zidx[z]})
+			a.rt.TaskLaunch(id, core.Scaled(core.Float64s(a.rho[lo:hi]), a.cfg.Scale), core.Scalar{P: &a.zidx[z]})
 		}
 		err = a.rt.SectionEnd()
 	})
@@ -219,11 +278,9 @@ func (a *app) push() error {
 				a.phiZone(z), a.zoneC0[z], a.zoneC1[z], a.cfg.Dt)
 			c.Compute(w.Scale(a.cfg.Scale))
 		}, core.InOut, core.InOut, core.In)
-		zidx := make([]float64, a.cfg.Zones)
 		for z, ps := range a.zones {
-			zidx[z] = float64(z)
 			a.rt.TaskLaunch(id, core.Scaled(core.Float64s(ps.Psi), a.cfg.Scale),
-				core.Scaled(core.Float64s(ps.Vpar), a.cfg.Scale), core.Scalar{P: &zidx[z]})
+				core.Scaled(core.Float64s(ps.Vpar), a.cfg.Scale), core.Scalar{P: &a.zidx[z]})
 		}
 		err = a.rt.SectionEnd()
 	})

@@ -19,6 +19,18 @@ func PaperConfig() Config {
 	}
 }
 
+// bind is the registry's runner for one app binding: every run through it
+// recycles start states through pool.
+func bind(cfg Config, pool *statePool) scenario.AppRun {
+	return func(rt core.Runner) (sim.Time, map[string]*apputil.KernelTime, core.Stats, error) {
+		res, err := run(rt, cfg, pool)
+		if err != nil {
+			return 0, nil, core.Stats{}, err
+		}
+		return res.Total, res.Kernels, res.Stats, nil
+	}
+}
+
 func init() {
 	scenario.RegisterApp(scenario.AppEntry{
 		Name:        "gtc",
@@ -29,14 +41,7 @@ func init() {
 			if !ok {
 				return nil, fmt.Errorf("gtc: config is %T, want *gtc.Config", cfg)
 			}
-			cc := *c
-			return func(rt core.Runner) (sim.Time, map[string]*apputil.KernelTime, core.Stats, error) {
-				res, err := Run(rt, cc)
-				if err != nil {
-					return 0, nil, core.Stats{}, err
-				}
-				return res.Total, res.Kernels, res.Stats, nil
-			}, nil
+			return bind(*c, new(statePool)), nil
 		},
 		Paper: func(iters, tasks int) any {
 			c := PaperConfig()

@@ -27,6 +27,18 @@ func PaperConfig(replicated bool, iters int, intraWaxpby bool) Config {
 	return cfg
 }
 
+// bind is the registry's runner for one app binding: every replica of
+// every run through it shares blocks.
+func bind(cfg Config, blocks *blockMemo) scenario.AppRun {
+	return func(rt core.Runner) (sim.Time, map[string]*apputil.KernelTime, core.Stats, error) {
+		res, err := run(rt, cfg, blocks)
+		if err != nil {
+			return 0, nil, core.Stats{}, err
+		}
+		return res.Total, res.Kernels, res.Stats, nil
+	}
+}
+
 func init() {
 	scenario.RegisterApp(scenario.AppEntry{
 		Name:        "hpccg",
@@ -37,14 +49,7 @@ func init() {
 			if !ok {
 				return nil, fmt.Errorf("hpccg: config is %T, want *hpccg.Config", cfg)
 			}
-			cc := *c
-			return func(rt core.Runner) (sim.Time, map[string]*apputil.KernelTime, core.Stats, error) {
-				res, err := Run(rt, cc)
-				if err != nil {
-					return 0, nil, core.Stats{}, err
-				}
-				return res.Total, res.Kernels, res.Stats, nil
-			}, nil
+			return bind(*c, newBlockMemo(*c)), nil
 		},
 		Paper: func(iters, tasks int) any {
 			if iters <= 0 {

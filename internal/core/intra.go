@@ -44,7 +44,9 @@ func (m InoutMode) String() string {
 // never need to agree dynamically on ownership. Tasks assigned to a lane
 // that turns out to be dead are executed locally by every surviving
 // replica that is missing their results (the "execute the task locally"
-// option of §III-B2).
+// option of §III-B2). A Scheduler must be a pure function of its
+// arguments: the engine computes the assignment once per task count and
+// reuses it for every later section of that size.
 type Scheduler func(nTasks int, lanes []int) []int
 
 // BlockScheduler is the paper's static policy (§V-A): with L lanes the
@@ -93,12 +95,21 @@ type Options struct {
 }
 
 // intraEngine implements the paper's protocol (Algorithm 1) for one
-// replica.
+// replica. Besides the protocol state it owns the per-section working sets
+// (task ownership, posted receives and sends, orphaned tasks, the alive-lane
+// view), which are rebuilt on every section in storage kept across them.
 type intraEngine struct {
 	p        *replication.Proc
+	world    *mpi.World // pool the update messages return to
 	opts     Options
 	secSeq   int
 	allLanes []int
+
+	owner    []int // Sched's assignment for len(owner) tasks
+	recvs    []pendingRecv
+	sends    []*mpi.Request
+	selfExec []*task
+	alive    []int // live lanes at the current update send
 }
 
 func (en *intraEngine) mode() string { return "intra" }
@@ -111,7 +122,7 @@ func NewIntra(p *replication.Proc, opts Options) *R {
 	if opts.CostScale <= 0 {
 		opts.CostScale = 1
 	}
-	en := &intraEngine{p: p, opts: opts}
+	en := &intraEngine{p: p, world: p.System().World(), opts: opts}
 	for l := 0; l < p.System().Config().Degree; l++ {
 		en.allLanes = append(en.allLanes, l)
 	}
@@ -147,6 +158,12 @@ type pendingRecv struct {
 // round executes the orphaned task locally. Because ownership is a pure
 // function of the task index, replicas never block on a peer that does not
 // know it is expected to send.
+//
+// Update messages are pooled: they go out through IsendPooled, and the
+// receiver hands each one back to the world pool once its payload has been
+// written to memory (copy-restore) or once the buffered atomic apply has
+// run. A buffered update whose task is re-executed instead is recycled
+// unapplied when the section completes.
 func (en *intraEngine) runSection(r *R) error {
 	secID := en.secSeq
 	en.secSeq++
@@ -155,38 +172,40 @@ func (en *intraEngine) runSection(r *R) error {
 	}
 	rc := en.p.ReplicaComm()
 	sys := en.p.System()
-	owner := en.opts.Sched(len(r.tasks), en.allLanes)
+	if len(en.owner) != len(r.tasks) {
+		en.owner = en.opts.Sched(len(r.tasks), en.allLanes)
+	}
+	owner := en.owner
 	for {
-		if len(en.p.AliveLanes()) == 0 {
+		if !en.anyAlive() {
 			return &replication.LogicalRankLostError{Rank: en.p.Logical}
 		}
 		// Post receives for unfinished tasks owned by live peers
 		// (snapshotting their inout arguments first: Algorithm 1,
 		// receive_task_update lines 37-38).
-		var recvs []pendingRecv
-		var selfExec []*task
+		en.recvs, en.selfExec = en.recvs[:0], en.selfExec[:0]
 		for ti, t := range r.tasks {
 			if t.done || owner[ti] == en.p.Lane {
 				continue
 			}
 			if !sys.Alive(en.p.Logical, owner[ti]) {
-				selfExec = append(selfExec, t)
+				en.selfExec = append(en.selfExec, t)
 				continue
 			}
 			en.prepareForReceive(r, t)
 			for ai, tag := range t.def.tags {
-				if tag == In || t.recvd[ai] {
+				if tag == In || t.arg[ai].recvd {
 					continue
 				}
 				r.rank().Compute(postOverhead)
 				req := r.rank().Irecv(rc, owner[ti], updateTag(secID, ti, ai))
-				recvs = append(recvs, pendingRecv{t: t, arg: ai, req: req})
+				en.recvs = append(en.recvs, pendingRecv{t: t, arg: ai, req: req})
 			}
 		}
 
 		// Execute my own tasks, shipping each update as soon as it is
 		// ready (overlapped with the remaining computation).
-		var sends []*mpi.Request
+		en.sends = en.sends[:0]
 		for ti, t := range r.tasks {
 			if owner[ti] != en.p.Lane || t.done {
 				continue
@@ -200,14 +219,14 @@ func (en *intraEngine) runSection(r *R) error {
 			if h := en.opts.Hooks.AfterTaskExec; h != nil {
 				h(secID, ti)
 			}
-			sends = append(sends, en.sendUpdates(r, rc, secID, ti, t)...)
+			en.sendUpdates(r, rc, secID, ti, t)
 		}
 
 		// Re-execute locally the unfinished tasks of dead lanes
 		// (§III-B2: tasks can run in any order thanks to the
 		// input-dependence-only rule, and inout snapshots undo any
 		// partially applied update, Figure 2c).
-		for _, t := range selfExec {
+		for _, t := range en.selfExec {
 			if h := en.opts.Hooks.BeforeTaskExec; h != nil {
 				h(secID, t.idx)
 			}
@@ -219,91 +238,115 @@ func (en *intraEngine) runSection(r *R) error {
 
 		// Collect updates for remote tasks; failures trigger another round.
 		failed := false
-		for _, pr := range recvs {
-			if err := r.rank().Wait(pr.req); err != nil {
+		for _, pr := range en.recvs {
+			msg, err := r.rank().WaitOwned(pr.req)
+			if err != nil {
 				if mpi.IsPeerDead(err) {
 					failed = true
 					continue
 				}
 				return err
 			}
-			en.applyUpdate(r, pr.t, pr.arg, pr.req.Msg().Data)
+			en.applyUpdate(r, pr.t, pr.arg, msg)
 		}
 		en.finishReceivedTasks(r)
 
-		if err := r.rank().Waitall(sends); err != nil {
+		if err := r.rank().WaitallOwned(en.sends); err != nil {
 			return err
 		}
 		r.stats.UpdateWait += r.Now() - localDone
 
 		if !failed && allDone(r.tasks) {
+			en.dropUnapplied(r)
 			return nil
 		}
 		r.stats.RecoveryRounds++
 	}
 }
 
+// anyAlive reports whether some replica of this logical rank is alive.
+func (en *intraEngine) anyAlive() bool {
+	for _, l := range en.allLanes {
+		if en.p.System().Alive(en.p.Logical, l) {
+			return true
+		}
+	}
+	return false
+}
+
 // prepareForReceive makes the inout snapshots required before any update
 // for t can be written to memory (copy-restore mode only; atomic mode
-// leaves memory untouched until the full update has arrived).
+// leaves memory untouched until the full update has arrived). A snapshot
+// overwrites the one the task record held in an earlier section.
 func (en *intraEngine) prepareForReceive(r *R, t *task) {
 	if en.opts.Mode != CopyRestore {
 		return
 	}
 	for ai, tag := range t.def.tags {
-		if tag != InOut || t.copies[ai] != nil {
+		if tag != InOut || t.arg[ai].snapped {
 			continue
 		}
 		d := r.machine.MemcpyDuration(r.scaledBytes(t.args[ai]))
 		r.stats.CopyTime += d
 		r.rank().Compute(d)
-		t.copies[ai] = t.args[ai].Snapshot()
+		a := &t.arg[ai]
+		a.snap = t.args[ai].SnapshotInto(a.snap)
+		a.snapped = true
 	}
 }
 
 // sendUpdates ships every non-in argument of a completed task to all other
-// alive lanes (Algorithm 1, execute_task lines 33-34).
-func (en *intraEngine) sendUpdates(r *R, rc *mpi.Comm, secID, ti int, t *task) []*mpi.Request {
-	var reqs []*mpi.Request
+// alive lanes (Algorithm 1, execute_task lines 33-34), appending the send
+// requests to en.sends. The alive set is read once per argument, before its
+// sends are posted: a peer that dies while they go out still gets its
+// (vanishing) message.
+func (en *intraEngine) sendUpdates(r *R, rc *mpi.Comm, secID, ti int, t *task) {
+	sys := en.p.System()
 	for ai, tag := range t.def.tags {
 		if tag == In {
 			continue
 		}
 		enc := t.args[ai].Encode()
 		wire := r.scaledBytes(t.args[ai])
-		for _, l := range en.p.AliveLanes() {
-			if l == en.p.Lane {
-				continue
+		en.alive = en.alive[:0]
+		for _, l := range en.allLanes {
+			if l != en.p.Lane && sys.Alive(en.p.Logical, l) {
+				en.alive = append(en.alive, l)
 			}
+		}
+		for _, l := range en.alive {
 			r.rank().Compute(postOverhead)
-			reqs = append(reqs, r.rank().IsendSized(rc, l, updateTag(secID, ti, ai), enc, nil, wire))
+			en.sends = append(en.sends, r.rank().IsendPooled(rc, l, updateTag(secID, ti, ai), enc, nil, wire))
 			r.stats.UpdateBytes += wire
 		}
 		if h := en.opts.Hooks.AfterArgSend; h != nil {
 			h(secID, ti, ai)
 		}
 	}
-	return reqs
 }
 
 // applyUpdate records one received argument update. In copy-restore mode
 // the update is written to memory immediately (like an MPI receive into
-// the application buffer); in atomic mode it is buffered.
-func (en *intraEngine) applyUpdate(r *R, t *task, arg int, data []float64) {
-	if t.recvd[arg] || t.done {
+// the application buffer) and the message recycled; in atomic mode it is
+// buffered until the task's full update has arrived.
+func (en *intraEngine) applyUpdate(r *R, t *task, arg int, msg *mpi.Message) {
+	a := &t.arg[arg]
+	if a.recvd || t.done {
+		en.world.RecycleMessage(msg)
 		return
 	}
-	t.recvd[arg] = true
+	a.recvd = true
 	if en.opts.Mode == CopyRestore {
-		t.args[arg].Apply(data)
+		t.args[arg].Apply(msg.Data)
+		en.world.RecycleMessage(msg)
 		return
 	}
-	t.pendingD[arg] = data
+	a.pending = msg
 }
 
 // finishReceivedTasks marks tasks complete once every non-in argument has
 // arrived; in atomic mode this is where buffered updates are applied (and
-// their memory cost charged).
+// their memory cost charged) and their messages recycled.
 func (en *intraEngine) finishReceivedTasks(r *R) {
 	for _, t := range r.tasks {
 		if t.done {
@@ -311,7 +354,7 @@ func (en *intraEngine) finishReceivedTasks(r *R) {
 		}
 		complete := true
 		for ai, tag := range t.def.tags {
-			if tag != In && !t.recvd[ai] {
+			if tag != In && !t.arg[ai].recvd {
 				complete = false
 				break
 			}
@@ -327,12 +370,28 @@ func (en *intraEngine) finishReceivedTasks(r *R) {
 				d := r.machine.MemcpyDuration(r.scaledBytes(t.args[ai]))
 				r.stats.CopyTime += d
 				r.rank().Compute(d)
-				t.args[ai].Apply(t.pendingD[ai])
-				t.pendingD[ai] = nil
+				a := &t.arg[ai]
+				t.args[ai].Apply(a.pending.Data)
+				en.world.RecycleMessage(a.pending)
+				a.pending = nil
 			}
 		}
 		t.done = true
 		r.stats.TasksReceived++
+	}
+}
+
+// dropUnapplied recycles the buffered partial updates of tasks that were
+// re-executed locally instead (atomic mode: a crash cut their update
+// short, so the buffered arguments are never applied).
+func (en *intraEngine) dropUnapplied(r *R) {
+	for _, t := range r.tasks {
+		for ai := range t.arg {
+			if a := &t.arg[ai]; a.pending != nil {
+				en.world.RecycleMessage(a.pending)
+				a.pending = nil
+			}
+		}
 	}
 }
 

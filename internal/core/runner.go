@@ -153,8 +153,11 @@ type R struct {
 	stats     Stats
 	inSection bool
 	secStart  sim.Time
-	defs      []taskDef
-	tasks     []*task
+	// The current section's task types, their argument tags and its
+	// tasks, all in storage reused by every section.
+	defs  []taskDef
+	tags  []ArgTag
+	tasks []*task
 }
 
 type taskDef struct {
@@ -162,15 +165,40 @@ type taskDef struct {
 	tags []ArgTag
 }
 
+// task is one launched task. Records are reused across sections (the i-th
+// task of every section gets the same record), so TaskLaunch resets every
+// per-section field; the inout snapshots keep their storage for
+// SnapshotInto.
 type task struct {
-	idx      int
-	def      taskDef
-	args     []Value
-	done     bool
-	executed bool    // executed locally (vs received)
-	copies   []Value // inout snapshots (copy-restore mode)
-	recvd    []bool  // per-arg: update applied (copy mode) or buffered (atomic)
-	pendingD [][]float64
+	idx  int
+	def  taskDef
+	args []Value
+	arg  []argState // per-argument protocol state, parallel to args
+	done bool
+}
+
+// argState is the intra protocol's state for one task argument.
+type argState struct {
+	snap    Value        // inout snapshot storage (copy-restore mode)
+	snapped bool         // snap holds this section's snapshot
+	recvd   bool         // update applied (copy mode) or buffered (atomic)
+	pending *mpi.Message // buffered update (atomic mode)
+}
+
+// reset prepares a reused record for a task of def with the given args.
+func (t *task) reset(idx int, def taskDef, args []Value) {
+	t.idx = idx
+	t.def = def
+	t.args = append(t.args[:0], args...)
+	t.done = false
+	n := len(args)
+	if cap(t.arg) < n {
+		t.arg = append(t.arg[:cap(t.arg)], make([]argState, n-cap(t.arg))...)
+	}
+	t.arg = t.arg[:n]
+	for i := range t.arg {
+		t.arg[i] = argState{snap: t.arg[i].snap}
+	}
 }
 
 // LogicalRank returns the logical MPI rank.
@@ -245,6 +273,7 @@ func (r *R) SectionBegin() {
 	r.inSection = true
 	r.secStart = r.Now()
 	r.defs = r.defs[:0]
+	r.tags = r.tags[:0]
 	r.tasks = r.tasks[:0]
 }
 
@@ -253,7 +282,12 @@ func (r *R) TaskRegister(fn TaskFunc, tags ...ArgTag) TaskID {
 	if !r.inSection {
 		panic("core: TaskRegister outside a section")
 	}
-	r.defs = append(r.defs, taskDef{fn: fn, tags: tags})
+	// Copy the tags into section-owned storage so the variadic slice does
+	// not escape. Appending may move r.tags, but earlier defs keep valid
+	// views of the old array, which nothing writes until the next section.
+	n := len(r.tags)
+	r.tags = append(r.tags, tags...)
+	r.defs = append(r.defs, taskDef{fn: fn, tags: r.tags[n:len(r.tags):len(r.tags)]})
 	return TaskID(len(r.defs) - 1)
 }
 
@@ -267,15 +301,15 @@ func (r *R) TaskLaunch(id TaskID, args ...Value) {
 		panic(fmt.Sprintf("core: task %d launched with %d args, registered with %d",
 			id, len(args), len(def.tags)))
 	}
-	t := &task{
-		idx:      len(r.tasks),
-		def:      def,
-		args:     args,
-		copies:   make([]Value, len(args)),
-		recvd:    make([]bool, len(args)),
-		pendingD: make([][]float64, len(args)),
+	// Slots past len hold the records of earlier, larger sections; a slot
+	// that append's growth added but no launch filled is still nil.
+	n := len(r.tasks)
+	if n < cap(r.tasks) && r.tasks[:n+1][n] != nil {
+		r.tasks = r.tasks[:n+1]
+	} else {
+		r.tasks = append(r.tasks, new(task))
 	}
-	r.tasks = append(r.tasks, t)
+	r.tasks[n].reset(n, def, args)
 }
 
 // SectionEnd completes the section under the configured engine.
@@ -312,15 +346,14 @@ func (r *R) scaledBytes(v Value) int64 {
 // a copy exists (Algorithm 1, execute_task lines 30-32).
 func (r *R) runTaskLocally(t *task) {
 	for i, tag := range t.def.tags {
-		if tag == InOut && t.copies[i] != nil {
+		if tag == InOut && t.arg[i].snapped {
 			d := r.machine.MemcpyDuration(r.scaledBytes(t.args[i]))
 			r.stats.CopyTime += d
 			r.rec.compute(d)
 			r.rank().Compute(d)
-			t.args[i].Restore(t.copies[i])
+			t.args[i].Restore(t.arg[i].snap)
 		}
 	}
 	t.def.fn(taskCtx{r: r}, t.args)
-	t.executed = true
 	r.stats.TasksRun++
 }

@@ -26,6 +26,11 @@ type Value interface {
 	ByteSize() int64
 	// Snapshot returns a deep copy with private storage.
 	Snapshot() Value
+	// SnapshotInto is Snapshot reusing dst's storage: when dst is an
+	// earlier snapshot of a value of the same shape, the copy overwrites it
+	// in place and dst is returned; otherwise (dst nil or of another shape)
+	// it allocates like Snapshot. Either result is a valid Restore source.
+	SnapshotInto(dst Value) Value
 	// Restore overwrites this value's backing memory from a snapshot
 	// previously returned by Snapshot.
 	Restore(from Value)
@@ -46,6 +51,17 @@ func (v Float64s) ByteSize() int64 { return 8 * int64(len(v)) }
 // Snapshot returns a deep copy.
 func (v Float64s) Snapshot() Value { return append(Float64s(nil), v...) }
 
+// SnapshotInto copies v into dst when dst is a Float64s of v's length.
+// Returning dst itself, rather than the re-sliced copy, keeps the reuse
+// path free of the interface conversion a slice value would allocate.
+func (v Float64s) SnapshotInto(dst Value) Value {
+	if d, ok := dst.(Float64s); ok && len(d) == len(v) {
+		copy(d, v)
+		return dst
+	}
+	return v.Snapshot()
+}
+
 // Restore copies a snapshot back into the backing slice.
 func (v Float64s) Restore(from Value) { copy(v, from.(Float64s)) }
 
@@ -65,6 +81,15 @@ func (s Scalar) ByteSize() int64 { return 8 }
 func (s Scalar) Snapshot() Value {
 	v := *s.P
 	return Scalar{P: &v}
+}
+
+// SnapshotInto copies the scalar into dst's cell when dst is a Scalar.
+func (s Scalar) SnapshotInto(dst Value) Value {
+	if d, ok := dst.(Scalar); ok && d.P != nil {
+		*d.P = *s.P
+		return dst
+	}
+	return s.Snapshot()
 }
 
 // Restore copies a snapshot back.
@@ -123,6 +148,15 @@ func (s scaledValue) ByteSize() int64 {
 
 func (s scaledValue) Snapshot() Value {
 	return scaledValue{Value: s.Value.Snapshot(), factor: s.factor}
+}
+
+// SnapshotInto snapshots the wrapped value alone: the cost factor only
+// matters for the live argument, and Restore accepts an unwrapped source.
+func (s scaledValue) SnapshotInto(dst Value) Value {
+	if sd, ok := dst.(scaledValue); ok {
+		dst = sd.Value
+	}
+	return s.Value.SnapshotInto(dst)
 }
 
 func (s scaledValue) Restore(from Value) {

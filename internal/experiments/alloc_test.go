@@ -3,19 +3,20 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/apps/gtc"
+	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/testutil"
 )
 
-// rerunAllocs runs the same classic spec `times` times on one pooled
-// engine and scratch and returns the total allocation count. Differencing
-// two counts cancels engine construction and pool warm-up, leaving the
-// steady-state cost of one full spec rerun (world build, replica launch,
-// application run, reclaim).
-func rerunAllocs(t *testing.T, times int) float64 {
+// rerunAllocs runs spec s `times` times on one pooled engine and scratch
+// and returns the total allocation count. Differencing two counts cancels
+// engine construction and pool warm-up, leaving the steady-state cost of
+// one full spec rerun (world build, replica launch, application run,
+// reclaim).
+func rerunAllocs(t *testing.T, s Spec, times int) float64 {
 	t.Helper()
-	s := Spec{Name: "rerun", Mode: Classic, Logical: 4, App: HPCCG(smallHPCCG(2))}
 	return testing.AllocsPerRun(2, func() {
 		eng := sim.NewPooled()
 		defer eng.Shutdown()
@@ -41,10 +42,38 @@ func TestPooledRerunAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets are meaningless under the race detector")
 	}
+	s := Spec{Name: "rerun", Mode: Classic, Logical: 4, App: HPCCG(smallHPCCG(2))}
 	const span = 6
-	perRun := (rerunAllocs(t, 2+span) - rerunAllocs(t, 2)) / span
+	perRun := (rerunAllocs(t, s, 2+span) - rerunAllocs(t, s, 2)) / span
 	t.Logf("allocs per pooled spec rerun: %.0f", perRun)
 	if perRun > 8000 {
 		t.Fatalf("pooled spec rerun allocates %.0f objects, budget 8000", perRun)
+	}
+}
+
+// TestPooledIntraRerunAllocBudget pins a crashed intra trial on a warm
+// worker, the unit of an intra failure campaign: on top of the pooled
+// engine and scratch, the trial's GTC replicas re-initialize start states
+// their predecessors returned to the binding, the section protocol reuses
+// its task records and working sets, and update messages cycle through the
+// world pool. Before that reuse such a rerun allocated about 3000 objects;
+// it now takes about 1700, most of them the application's boxing of task
+// arguments into Values.
+func TestPooledIntraRerunAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	cfg := gtc.PaperConfig()
+	cfg.Steps = 3
+	d := fault.ExponentialDraw(4, 2, sim.Seconds(0.0005), sim.Seconds(0.0008), fault.TrialSeed(3, 0, 0))
+	if len(d.Schedule.Crashes) == 0 {
+		t.Fatal("the draw crashes nothing; pick another seed")
+	}
+	s := Spec{Name: "intra-rerun", Mode: Intra, Logical: 4, App: GTC(cfg), Fault: d.Schedule}
+	const span = 6
+	perRun := (rerunAllocs(t, s, 2+span) - rerunAllocs(t, s, 2)) / span
+	t.Logf("allocs per pooled faulty intra rerun: %.0f", perRun)
+	if perRun > 2000 {
+		t.Fatalf("pooled faulty intra rerun allocates %.0f objects, budget 2000", perRun)
 	}
 }

@@ -25,11 +25,18 @@ type Particles struct {
 // NewParticles creates n particles spread deterministically over cells
 // [c0, c1) with alternating velocities.
 func NewParticles(n int, c0, c1 float64) *Particles {
-	p := &Particles{
-		Psi:  make([]float64, n),
-		Vpar: make([]float64, n),
-		W:    make([]float64, n),
-	}
+	p := &Particles{}
+	p.Init(n, c0, c1)
+	return p
+}
+
+// Init (re)initializes p to the n particles NewParticles(n, c0, c1)
+// creates, reusing p's arrays when they are large enough. Every element is
+// overwritten, so a recycled zone is indistinguishable from a fresh one.
+func (p *Particles) Init(n int, c0, c1 float64) {
+	p.Psi = resize(p.Psi, n)
+	p.Vpar = resize(p.Vpar, n)
+	p.W = resize(p.W, n)
 	span := c1 - c0
 	for i := 0; i < n; i++ {
 		frac := (float64(i) + 0.5) / float64(n)
@@ -37,7 +44,15 @@ func NewParticles(n int, c0, c1 float64) *Particles {
 		p.Vpar[i] = 0.3 * (2*frac - 1)
 		p.W[i] = 1.0 / float64(n)
 	}
-	return p
+}
+
+// resize returns a length-n slice backed by s when it has the capacity.
+// The contents are unspecified; callers overwrite every element.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // Len returns the particle count.

@@ -138,3 +138,43 @@ func TestCollectiveAllocBudgets(t *testing.T) {
 		})
 	}
 }
+
+// deadSendAllocs has rank 0 post `sends` sized sends to rank 1 after rank
+// 1 has crashed, waiting on each, and returns the total allocation count.
+func deadSendAllocs(t *testing.T, sends int) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(3, func() {
+		e := sim.New()
+		net := simnet.New(e, simnet.InfiniBand20G, 2)
+		w := NewWorld(e, net, 2, perf.Grid5000, nil)
+		payload := make([]float64, 16)
+		w.Launch("a", 0, func(r *Rank) {
+			r.Compute(sim.Microsecond) // let rank 1 crash first
+			for i := 0; i < sends; i++ {
+				if _, err := r.WaitOwned(r.IsendSized(r.World(), 1, 0, payload, nil, 1<<20)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		})
+		w.Launch("b", 1, func(r *Rank) { r.Crash() })
+		if err := e.Run(); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestDeadDestinationSendAllocBudget: a send to a crashed rank still costs
+// the sender its NIC time, but the message itself vanishes, so none is
+// built. What remains per send is IsendSized's defensive payload copy.
+func TestDeadDestinationSendAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	const span = 400
+	perSend := (deadSendAllocs(t, 100+span) - deadSendAllocs(t, 100)) / span
+	t.Logf("allocs per send to a dead rank: %.2f", perSend)
+	if perSend > 1.1 {
+		t.Fatalf("send to a dead rank allocates %.2f objects, budget 1.1 (the payload copy)", perSend)
+	}
+}

@@ -210,33 +210,36 @@ func (st *rankState) isendSized(c *Comm, dst, tag int, data []float64, meta any,
 	w := st.w
 	worldDst := c.WorldRank(dst)
 	key := matchKey{src: st.rank, tag: tag, comm: c.id}
-	msg := &Message{
-		Src:   st.rank,
-		Dst:   worldDst,
-		Tag:   tag,
-		Data:  data,
-		Meta:  meta,
-		Bytes: envelopeBytes + payloadBytes,
-		seq:   st.sendSeqFor(c, tag),
-	}
+	seq := st.sendSeqFor(c, tag)
+	bytes := envelopeBytes + payloadBytes
 	req := newRequest(st, false, matchKey{})
 	st.stats.MsgsSent++
-	st.stats.BytesSent += msg.Bytes
+	st.stats.BytesSent += bytes
 	dstState := w.ranks[worldDst]
 	if dstState.dead {
-		// Crash-stop destination: the message vanishes. Model the local NIC
-		// cost anyway (the sender cannot know). The no-op delivery event is
-		// still scheduled so the engine's event sequence — and with it every
-		// same-timestamp tie-break — is identical to the live-receiver path.
+		// Crash-stop destination: the message vanishes, so none is built.
+		// Model the local NIC cost anyway (the sender cannot know). The
+		// no-op delivery event is still scheduled so the engine's event
+		// sequence — and with it every same-timestamp tie-break — is
+		// identical to the live-receiver path.
 		//
 		// Known modeling gap (pre-dating this path's rewrite, kept for
 		// output stability): this transfer is not tracked in st.outgoing,
 		// so if the sender also crashes before TxDone the receiver-node
 		// rxFree reservation is never rolled back.
 		var tr simnet.Transfer
-		w.net.SendInto(&tr, st.node, dstState.node, msg.Bytes, nopTimer{})
+		w.net.SendInto(&tr, st.node, dstState.node, bytes, nopTimer{})
 		w.e.AtTimer(tr.TxDone(), req)
 		return req
+	}
+	msg := &Message{
+		Src:   st.rank,
+		Dst:   worldDst,
+		Tag:   tag,
+		Data:  data,
+		Meta:  meta,
+		Bytes: bytes,
+		seq:   seq,
 	}
 	dstCh := dstState.chanFor(key)
 	dstCh.inflight++
@@ -266,7 +269,8 @@ func (st *rankState) isendColl(c *Comm, dst, tag int, data []float64) *Request {
 // buffer and the Message itself comes from the world pool. Timing-wise it is
 // exactly isendSized; the only difference is allocation discipline, so it is
 // reserved for traffic whose receiver consumes the message and hands it back
-// (mpi-level collectives, the replication layer's internal trees).
+// (mpi-level collectives, the replication layer's internal trees, intra
+// section updates).
 func (st *rankState) isendPooled(c *Comm, dst, tag int, data []float64, meta any, payloadBytes int64) *Request {
 	w := st.w
 	worldDst := c.WorldRank(dst)
@@ -278,8 +282,7 @@ func (st *rankState) isendPooled(c *Comm, dst, tag int, data []float64, meta any
 	st.stats.BytesSent += bytes
 	dstState := w.ranks[worldDst]
 	if dstState.dead {
-		// Same modeling as isendSized's dead-destination path (which see),
-		// minus the message object nobody would ever observe.
+		// Same modeling as isendSized's dead-destination path (which see).
 		var tr simnet.Transfer
 		w.net.SendInto(&tr, st.node, dstState.node, bytes, nopTimer{})
 		w.e.AtTimer(tr.TxDone(), req)
@@ -468,6 +471,16 @@ func waitReason(rq *Request) sim.ParkReason {
 	return sim.ParkReason{Kind: sim.WaitSendDone}
 }
 
+// WaitOwned is Wait for a request whose handle never escapes the caller: it
+// returns the received message (nil for sends and failed receives) and
+// recycles the request to the world pool, like the blocking Recv.
+func (r *Rank) WaitOwned(rq *Request) (*Message, error) {
+	err := r.Wait(rq)
+	msg := rq.msg
+	r.st.w.putRequest(rq)
+	return msg, err
+}
+
 // Waitall waits for every request and returns the first error encountered
 // (but always waits for all of them, like MPI_Waitall).
 func (r *Rank) Waitall(reqs []*Request) error {
@@ -536,10 +549,7 @@ func (r *Rank) Send(c *Comm, dst, tag int, data []float64, meta any) error {
 // handle never escapes, so it returns to the world pool; the message is
 // owned by the caller.
 func (r *Rank) Recv(c *Comm, src, tag int) (*Message, error) {
-	rq := r.Irecv(c, src, tag)
-	err := r.Wait(rq)
-	msg := rq.msg
-	r.st.w.putRequest(rq)
+	msg, err := r.WaitOwned(r.Irecv(c, src, tag))
 	if err != nil {
 		return nil, err
 	}

@@ -58,10 +58,6 @@ func (p *Proc) System() *System { return p.s }
 // LogicalSize returns the number of logical ranks.
 func (p *Proc) LogicalSize() int { return p.s.cfg.Logical }
 
-// AliveLanes returns the lanes on which this logical rank has live
-// replicas.
-func (p *Proc) AliveLanes() []int { return p.s.AliveLanes(p.Logical) }
-
 // ReplicaComm returns the communicator over this logical rank's replicas
 // (comm rank == lane).
 func (p *Proc) ReplicaComm() *mpi.Comm { return p.s.ReplicaComm(p.Logical) }

@@ -135,18 +135,6 @@ func (s *System) LogicalOf(phys int) (logical, lane int) {
 // Alive reports whether replica (logical, lane) is alive.
 func (s *System) Alive(logical, lane int) bool { return s.alive[logical][lane] }
 
-// AliveLanes returns the lanes on which logical rank r still has replicas,
-// in ascending order.
-func (s *System) AliveLanes(r int) []int {
-	var lanes []int
-	for l, a := range s.alive[r] {
-		if a {
-			lanes = append(lanes, l)
-		}
-	}
-	return lanes
-}
-
 // Cover returns the lane whose replica of r is responsible for lane l's
 // traffic: l itself if alive, otherwise the lowest alive lane. ok is false
 // when every replica of r is dead (the logical process is lost and, per the

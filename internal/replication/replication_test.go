@@ -130,9 +130,6 @@ func TestCoverAfterDeath(t *testing.T) {
 	if c, ok := s.Cover(1, 1); !ok || c != 1 {
 		t.Fatalf("cover own lane = %d, %v", c, ok)
 	}
-	if lanes := s.AliveLanes(1); len(lanes) != 1 || lanes[0] != 1 {
-		t.Fatalf("alive lanes = %v", lanes)
-	}
 	if s.Epoch() != 1 {
 		t.Fatalf("epoch = %d", s.Epoch())
 	}
