@@ -371,11 +371,11 @@ func Run(cfg Config, scenarios []Scenario) (*Result, error) {
 		return nil, err
 	}
 	experiments.Progress.SetStatus(fmt.Sprintf("campaign: %d scenarios, measuring references", len(scenarios)))
-	baseRes, err := experiments.SweepStore(cfg.Workers, cfg.Store, base)
+	baseRes, traces, err := measureReferences(cfg, scenarios, base, templates)
 	if err != nil {
-		return nil, fmt.Errorf("campaign references: %w", err)
+		return nil, err
 	}
-	plan, err := armTrials(cfg, scenarios, trials, templates, baseRes)
+	plan, err := armTrials(cfg, scenarios, trials, templates, baseRes, traces)
 	if err != nil {
 		return nil, err
 	}
@@ -509,6 +509,62 @@ func Run(cfg Config, scenarios []Scenario) (*Result, error) {
 	return out, nil
 }
 
+// measureReferences runs phase 1: the fault-free reference sweep, and the
+// trace recording of every replicated scenario's trial template. Trials
+// replay the recording instead of re-executing the application's kernels:
+// send-deterministic replication keeps the logical sequence
+// crash-invariant, and an intra trial's section protocol still runs for
+// real on the recorded sections. A trace depends on the template alone
+// (mode, platform, app), never on the fault draw, so each distinct
+// template, keyed by its memo fingerprint, records once and serves every
+// MTBF point built on it. The recordings run beside the sweep unless the
+// campaign is confined to one worker; both are deterministic, so the
+// overlap changes nothing but wall time. traces[i] is nil for ccr
+// scenarios.
+func measureReferences(cfg Config, scenarios []Scenario, base, templates []experiments.Spec) (baseRes []experiments.Result, traces []*core.TraceSet, err error) {
+	traces = make([]*core.TraceSet, len(scenarios))
+	var recErr error
+	recorded := make(chan struct{})
+	record := func() {
+		defer close(recorded)
+		byKey := map[string]*core.TraceSet{}
+		for i, sc := range scenarios {
+			if sc.Point.Mode == scenario.CCR {
+				continue
+			}
+			k := templates[i].Key()
+			if ts, ok := byKey[k]; ok && k != "" {
+				traces[i] = ts
+				continue
+			}
+			ts, err := experiments.RecordTraces(templates[i])
+			if err != nil {
+				recErr = fmt.Errorf("campaign: scenario %q: trace recording: %w", sc.Point.Name, err)
+				return
+			}
+			byKey[k], traces[i] = ts, ts
+		}
+	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 {
+		record()
+	} else {
+		go record()
+	}
+	baseRes, err = experiments.SweepStore(cfg.Workers, cfg.Store, base)
+	<-recorded
+	if err != nil {
+		return nil, nil, fmt.Errorf("campaign references: %w", err)
+	}
+	if recErr != nil {
+		return nil, nil, recErr
+	}
+	return baseRes, traces, nil
+}
+
 // planReferences validates the campaign and lays out phase 1: the
 // fault-free reference specs (native + scenario-mode per scenario, spec
 // order fixing result order) and the per-scenario trial templates.
@@ -574,7 +630,8 @@ type trialPlan struct {
 // armTrials draws and lays out every trial of the campaign: one Spec per
 // replicated trial, all scenarios in a single sweep so the pool stays
 // saturated across the whole grid.
-func armTrials(cfg Config, scenarios []Scenario, trials int, templates []experiments.Spec, baseRes []experiments.Result) (*trialPlan, error) {
+func armTrials(cfg Config, scenarios []Scenario, trials int, templates []experiments.Spec,
+	baseRes []experiments.Result, traces []*core.TraceSet) (*trialPlan, error) {
 	p := &trialPlan{
 		draws:    make([][]fault.Draw, len(scenarios)),
 		trialAt:  make([]int, len(scenarios)),
@@ -612,20 +669,6 @@ func armTrials(cfg Config, scenarios []Scenario, trials int, templates []experim
 		p.horizons[i] = horizon
 		p.trialAt[i] = len(p.specs)
 		p.draws[i] = make([]fault.Draw, trials)
-		// Classic trials replay the scenario's recorded logical-op trace
-		// instead of re-executing the application: send-deterministic
-		// replication keeps the logical sequence crash-invariant, so one
-		// recording run serves every trial of the scenario. Intra trials
-		// keep executing for real — their section protocol reacts to
-		// failures below the trace boundary.
-		var replay *core.TraceSet
-		if sc.Point.Mode == scenario.Classic {
-			ts, err := experiments.RecordTraces(templates[i])
-			if err != nil {
-				return nil, fmt.Errorf("campaign: scenario %q: trace recording: %w", sc.Point.Name, err)
-			}
-			replay = ts
-		}
 		for t := 0; t < trials; t++ {
 			d := fault.ExponentialDraw(sc.Point.Logical, sc.Point.EffectiveDegree(), sc.MTBF, p.horizons[i],
 				fault.TrialSeed(cfg.Seed, i, t))
@@ -637,9 +680,10 @@ func armTrials(cfg Config, scenarios []Scenario, trials int, templates []experim
 			// per-chunk wake events, which reorders same-instant event ties
 			// (NIC posting order at crash times among them), so faulty trials
 			// drift from the reference schedule by a few microseconds. Trace
-			// replay has no such effect — the op sequence and every park/wake
-			// instant are identical — so it is the only trial accelerator.
-			spec.Replay = replay
+			// replay has no such effect — the op sequence and every
+			// communication instant are identical — so it is the only trial
+			// accelerator.
+			spec.Replay = traces[i]
 			p.specs = append(p.specs, spec)
 		}
 	}

@@ -124,11 +124,11 @@ func Populate(cfg Config, scenarios []Scenario, sh store.Shard) (PopulateStats, 
 	if err != nil {
 		return PopulateStats{}, err
 	}
-	baseRes, err := experiments.SweepStore(cfg.Workers, st, base)
+	baseRes, traces, err := measureReferences(cfg, scenarios, base, templates)
 	if err != nil {
-		return PopulateStats{}, fmt.Errorf("campaign references: %w", err)
+		return PopulateStats{}, err
 	}
-	plan, err := armTrials(cfg, scenarios, trials, templates, baseRes)
+	plan, err := armTrials(cfg, scenarios, trials, templates, baseRes, traces)
 	if err != nil {
 		return PopulateStats{}, err
 	}

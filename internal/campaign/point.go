@@ -76,9 +76,9 @@ func PreparePoints(cfg Config, scenarios []Scenario) ([]*Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseRes, err := experiments.SweepStore(cfg.Workers, cfg.Store, base)
+	baseRes, traces, err := measureReferences(cfg, scenarios, base, templates)
 	if err != nil {
-		return nil, fmt.Errorf("campaign references: %w", err)
+		return nil, err
 	}
 	pts := make([]*Point, len(scenarios))
 	for i, sc := range scenarios {
@@ -132,13 +132,7 @@ func PreparePoints(cfg Config, scenarios []Scenario) ([]*Point, error) {
 				horizon = ff.Measure.Wall
 			}
 			p.template = templates[i]
-			if sc.Point.Mode == scenario.Classic {
-				ts, err := experiments.RecordTraces(templates[i])
-				if err != nil {
-					return nil, fmt.Errorf("campaign: scenario %q: trace recording: %w", sc.Point.Name, err)
-				}
-				p.replay = ts
-			}
+			p.replay = traces[i]
 		}
 		p.Horizon = horizon
 		pts[i] = p

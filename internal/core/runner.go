@@ -151,6 +151,8 @@ type R struct {
 	costScale float64 // multiplies Value sizes for update transfers and copies
 	rec       *Trace  // non-nil while recording the logical-op trace
 	stats     Stats
+	running   *task       // the task whose body is executing
+	replaying *sectionRec // the recorded section being replayed
 	inSection bool
 	secStart  sim.Time
 	// The current section's task types, their argument tags and its
@@ -175,7 +177,14 @@ type task struct {
 	args []Value
 	arg  []argState // per-argument protocol state, parallel to args
 	done bool
+	// Inline storage backing args and arg for tasks of up to
+	// inlineArgs arguments.
+	argsBuf [inlineArgs]Value
+	argBuf  [inlineArgs]argState
 }
+
+// inlineArgs covers the argument count of every app's tasks.
+const inlineArgs = 4
 
 // argState is the intra protocol's state for one task argument.
 type argState struct {
@@ -189,6 +198,9 @@ type argState struct {
 func (t *task) reset(idx int, def taskDef, args []Value) {
 	t.idx = idx
 	t.def = def
+	if t.args == nil {
+		t.args, t.arg = t.argsBuf[:0], t.argBuf[:0]
+	}
 	t.args = append(t.args[:0], args...)
 	t.done = false
 	n := len(args)
@@ -254,11 +266,12 @@ func (r *R) Barrier() error {
 }
 
 // Compute charges work performed outside sections.
-func (r *R) Compute(w perf.Work) {
-	d := r.machine.Duration(w)
+func (r *R) Compute(w perf.Work) { r.chargeOutside(r.machine.Duration(w)) }
+
+func (r *R) chargeOutside(d sim.Time) {
 	r.stats.OutsideCompute += d
 	r.rec.compute(d)
-	r.rank().ComputeWork(w)
+	r.rank().Compute(d)
 }
 
 // Stats returns the runtime counters (live; callers may snapshot by copy).
@@ -272,6 +285,7 @@ func (r *R) SectionBegin() {
 	}
 	r.inSection = true
 	r.secStart = r.Now()
+	r.rec.beginSection()
 	r.defs = r.defs[:0]
 	r.tags = r.tags[:0]
 	r.tasks = r.tasks[:0]
@@ -301,15 +315,21 @@ func (r *R) TaskLaunch(id TaskID, args ...Value) {
 		panic(fmt.Sprintf("core: task %d launched with %d args, registered with %d",
 			id, len(args), len(def.tags)))
 	}
-	// Slots past len hold the records of earlier, larger sections; a slot
-	// that append's growth added but no launch filled is still nil.
+	// Slots past len hold the records of earlier, larger sections. When
+	// the slice grows, one block of records fills every slot it added.
 	n := len(r.tasks)
-	if n < cap(r.tasks) && r.tasks[:n+1][n] != nil {
+	if n < cap(r.tasks) {
 		r.tasks = r.tasks[:n+1]
 	} else {
-		r.tasks = append(r.tasks, new(task))
+		r.tasks = append(r.tasks, nil)
+		added := r.tasks[n:cap(r.tasks)]
+		block := make([]task, len(added))
+		for i := range added {
+			added[i] = &block[i]
+		}
 	}
 	r.tasks[n].reset(n, def, args)
+	r.rec.launch(id, args)
 }
 
 // SectionEnd completes the section under the configured engine.
@@ -318,6 +338,7 @@ func (r *R) SectionEnd() error {
 		panic("core: SectionEnd without SectionBegin")
 	}
 	err := r.engine.runSection(r)
+	r.rec.endSection(r.defs)
 	r.inSection = false
 	r.stats.Sections++
 	r.stats.SectionTime += r.Now() - r.secStart
@@ -329,10 +350,11 @@ type taskCtx struct {
 	r *R
 }
 
-func (c taskCtx) Compute(w perf.Work) {
-	d := c.r.machine.Duration(w)
+func (c taskCtx) Compute(w perf.Work) { c.charge(c.r.machine.Duration(w)) }
+
+func (c taskCtx) charge(d sim.Time) {
 	c.r.stats.SectionCompute += d
-	c.r.rec.compute(d)
+	c.r.rec.taskCompute(c.r.running, d)
 	c.r.rank().Compute(d)
 }
 
@@ -349,11 +371,12 @@ func (r *R) runTaskLocally(t *task) {
 		if tag == InOut && t.arg[i].snapped {
 			d := r.machine.MemcpyDuration(r.scaledBytes(t.args[i]))
 			r.stats.CopyTime += d
-			r.rec.compute(d)
 			r.rank().Compute(d)
 			t.args[i].Restore(t.arg[i].snap)
 		}
 	}
+	r.running = t
 	t.def.fn(taskCtx{r: r}, t.args)
+	r.running = nil
 	r.stats.TasksRun++
 }

@@ -57,7 +57,7 @@ func TestPooledRerunAllocBudget(t *testing.T) {
 // their predecessors returned to the binding, the section protocol reuses
 // its task records and working sets, and update messages cycle through the
 // world pool. Before that reuse such a rerun allocated about 3000 objects;
-// it now takes about 1700, most of them the application's boxing of task
+// it now takes about 1450, most of them the application's boxing of task
 // arguments into Values.
 func TestPooledIntraRerunAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -75,5 +75,34 @@ func TestPooledIntraRerunAllocBudget(t *testing.T) {
 	t.Logf("allocs per pooled faulty intra rerun: %.0f", perRun)
 	if perRun > 2000 {
 		t.Fatalf("pooled faulty intra rerun allocates %.0f objects, budget 2000", perRun)
+	}
+}
+
+// TestReplayedIntraRerunAllocBudget pins the trial a campaign actually
+// runs: the faulty GTC intra spec of TestPooledIntraRerunAllocBudget
+// replayed from its recording on a warm worker. The section protocol still
+// runs for real, but no application state is built and no argument boxed:
+// the recorded sized stand-ins and charging bodies are shared by every
+// replay, so a launch allocates nothing. It measures about 410 objects,
+// against about 1450 for the executed rerun; what is left is the world,
+// the replicas and their runners' section storage.
+func TestReplayedIntraRerunAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	cfg := gtc.PaperConfig()
+	cfg.Steps = 3
+	d := fault.ExponentialDraw(4, 2, sim.Seconds(0.0005), sim.Seconds(0.0008), fault.TrialSeed(3, 0, 0))
+	s := Spec{Name: "intra-replay", Mode: Intra, Logical: 4, App: GTC(cfg)}
+	ts, err := RecordTraces(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Fault, s.Replay = d.Schedule, ts
+	const span = 6
+	perRun := (rerunAllocs(t, s, 2+span) - rerunAllocs(t, s, 2)) / span
+	t.Logf("allocs per pooled faulty replayed intra rerun: %.0f", perRun)
+	if perRun > 500 {
+		t.Fatalf("pooled faulty replayed intra rerun allocates %.0f objects, budget 500", perRun)
 	}
 }

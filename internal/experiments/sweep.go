@@ -105,13 +105,15 @@ type Spec struct {
 	BatchCompute bool
 
 	// Replay, when non-nil, substitutes the application's main with a
-	// replay of the recorded logical-op traces (RecordTraces): the
-	// simulated makespan, crash consequences and physical layout are
-	// identical to executing the application, but its kernels never run.
-	// Like BatchCompute it is an execution strategy excluded from the memo
-	// key; unlike it, app-internal diagnostics (kernel timings, section
-	// stats, per-arg update bytes) are not re-derived, so only callers
-	// that consume timing aggregates — the failure campaigns — may arm it.
+	// replay of the recorded traces (RecordTraces): the simulated
+	// makespan, crash consequences and physical layout are identical to
+	// executing the application, but its kernels never run. On an intra
+	// spec the section protocol still runs for real, so the event count
+	// and the runtime Stats are re-derived too. Like BatchCompute it is an
+	// execution strategy excluded from the memo key; unlike it, the
+	// app's own reports (kernel timings, the in-app total, and on classic
+	// specs the section Stats) are not re-derived, so only callers that
+	// consume timing aggregates — the failure campaigns — may arm it.
 	Replay *core.TraceSet
 }
 
