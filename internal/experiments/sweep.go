@@ -113,7 +113,8 @@ type Spec struct {
 	// execution strategy excluded from the memo key; unlike it, the
 	// app's own reports (kernel timings, the in-app total, and on classic
 	// specs the section Stats) are not re-derived, so only callers that
-	// consume timing aggregates — the failure campaigns — may arm it.
+	// consume wall times and crash outcomes — the failure campaigns and
+	// jobstream's crashed replicated jobs — may arm it.
 	Replay *core.TraceSet
 }
 

@@ -5,9 +5,10 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -128,14 +129,14 @@ func (s *Schedule) Fingerprint() string {
 
 // sortCrashes orders crashes canonically by (time, logical, lane).
 func sortCrashes(cs []Crash) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Time != cs[j].Time {
-			return cs[i].Time < cs[j].Time
+	slices.SortFunc(cs, func(a, b Crash) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
 		}
-		if cs[i].Logical != cs[j].Logical {
-			return cs[i].Logical < cs[j].Logical
+		if c := cmp.Compare(a.Logical, b.Logical); c != 0 {
+			return c
 		}
-		return cs[i].Lane < cs[j].Lane
+		return cmp.Compare(a.Lane, b.Lane)
 	})
 }
 
@@ -199,23 +200,56 @@ func ExponentialDraw(logical, degree int, mtbf, horizon sim.Time, seed int64) Dr
 // survivable (it just forces another rollback) and a restarted node can
 // fail again.
 //
-// Each slot's sub-stream derives independently from seed, so growing the
-// horizon extends a trace without disturbing the failures already drawn
-// inside the smaller window — campaigns exploit this to enlarge the draw
-// window until it covers a failure-stretched makespan. Crashes are
-// returned sorted by (time, logical, lane); Suppressed is always zero.
+// Each slot's sub-stream is its Renewal, derived independently from seed,
+// so growing the horizon extends a trace without disturbing the failures
+// already drawn inside the smaller window — campaigns exploit this to
+// enlarge the draw window until it covers a failure-stretched makespan.
+// Crashes are returned sorted by (time, logical, lane); Suppressed is
+// always zero.
 func ExponentialDrawUnclamped(logical, degree int, mtbf, horizon sim.Time, seed int64) Draw {
 	d := Draw{Schedule: &Schedule{}}
+	var buf [64]sim.Time
+	times := buf[:0] // one slot's failures, reused across slots
 	for r := 0; r < logical; r++ {
 		for l := 0; l < degree; l++ {
-			rng := newRand(TrialSeed(seed, r, l))
-			for t := expStep(rng, mtbf); t < horizon; t += expStep(rng, mtbf) {
+			s := NewRenewal(mtbf, seed, r, l)
+			times = s.AppendUntil(times[:0], horizon)
+			for _, t := range times {
 				d.Schedule.Crashes = append(d.Schedule.Crashes, Crash{Logical: r, Lane: l, Time: t})
 			}
 		}
 	}
 	sortCrashes(d.Schedule.Crashes)
 	return d
+}
+
+// Renewal is one replica slot's failure stream: the exponential renewal
+// process ExponentialDrawUnclamped draws for slot (logical, lane) of a
+// seed, produced incrementally. Each AppendUntil continues where the last
+// one stopped, so extending an observation window draws only the failures
+// beyond the old one — a homogeneous Poisson process restricted to a
+// longer window is the shorter one's points plus new ones. A Renewal is a
+// value holding its generator; advance one copy only.
+type Renewal struct {
+	rng  *rand.Rand
+	mtbf sim.Time
+	next sim.Time // earliest failure not yet appended
+}
+
+// NewRenewal starts slot (logical, lane)'s failure stream under seed.
+func NewRenewal(mtbf sim.Time, seed int64, logical, lane int) Renewal {
+	rng := newRand(TrialSeed(seed, logical, lane))
+	return Renewal{rng: rng, mtbf: mtbf, next: expStep(rng, mtbf)}
+}
+
+// AppendUntil appends the stream's failures before horizon to dst in
+// ascending order and returns the extended slice. A horizon at or below
+// the previous one appends nothing.
+func (s *Renewal) AppendUntil(dst []sim.Time, horizon sim.Time) []sim.Time {
+	for ; s.next < horizon; s.next += expStep(s.rng, s.mtbf) {
+		dst = append(dst, s.next)
+	}
+	return dst
 }
 
 // expStep draws one exponential inter-arrival time, clamped to at least one

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/ckptsim"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/scenario"
@@ -19,25 +21,40 @@ import (
 // horizon-doubling cap.
 const maxGrow = 20
 
-// classCtx is one job class resolved for execution: fault-free spec
-// templates for the native and replicated shapes plus their measured
-// fault-free makespans. Built once per run, read-only across cells.
+// classCtx is one job class resolved for execution: the fault-free
+// degree-2 replicated template, the measured fault-free makespans of the
+// native and replicated shapes, and the template's trace recording. Built
+// once per run, shared by every cell.
 type classCtx struct {
 	class      scenario.JobClass
-	nativeSpec experiments.Spec // native, fault-free
 	replSpec   experiments.Spec // classic degree-2, fault-free
 	nativeWall float64
 	replWall   float64
+	// replTrace returns replSpec's recorded trace, recording it on the
+	// first call (concurrent callers wait for that one recording). Crashed
+	// replicated jobs replay it: send-deterministic replication keeps every
+	// logical rank's operation sequence crash-invariant, so a replay's
+	// makespan and crash consequences equal an execution's. nil means
+	// crashed jobs execute the app.
+	replTrace func() (*core.TraceSet, error)
 }
 
-// buildClasses resolves the workload mix: per class, the native and
-// degree-2 replicated templates on the workload's platform and their
-// fault-free makespans (via the shared runner, so references are
-// simulated once and persist alongside everything else). The replicated
-// job keeps the native per-rank problem — replication is a footprint
-// decision, not a problem resizing.
-func buildClasses(w *scenario.Workload, r Runner) ([]classCtx, error) {
+// recordFunc records a spec's per-rank traces: experiments.RecordTraces,
+// or nil to have crashed replicated jobs execute the app instead.
+type recordFunc func(experiments.Spec) (*core.TraceSet, error)
+
+// buildClasses resolves the workload mix: per class, the degree-2
+// replicated template on the workload's platform and the native and
+// replicated fault-free makespans. The 2×classes references run as one
+// parallel batch through the shared runner, so they are simulated once,
+// persist alongside everything else and seed the runner's memo (a
+// fault-free replicated job memo-hits its reference). The replicated job
+// keeps the native per-rank problem — replication is a footprint
+// decision, not a problem resizing. A class records its trace only when
+// its first crashed replicated job misses the memo.
+func buildClasses(workers int, w *scenario.Workload, r *memoRunner, record recordFunc) ([]classCtx, error) {
 	out := make([]classCtx, len(w.Mix))
+	refs := make([]experiments.Spec, 0, 2*len(w.Mix))
 	for i, c := range w.Mix {
 		base := scenario.Scenario{
 			Name: c.Label(), App: c.App, Config: c.Config,
@@ -55,18 +72,25 @@ func buildClasses(w *scenario.Workload, r Runner) ([]classCtx, error) {
 		if err != nil {
 			return nil, fmt.Errorf("jobstream: class %q: %w", c.Label(), err)
 		}
-		nres, err := r.Run(nspec)
-		if err != nil {
-			return nil, fmt.Errorf("jobstream: class %q native reference: %w", c.Label(), err)
+		out[i] = classCtx{class: c, replSpec: rspec}
+		if record != nil {
+			out[i].replTrace = sync.OnceValues(func() (*core.TraceSet, error) {
+				ts, err := record(rspec)
+				if err != nil {
+					return nil, fmt.Errorf("jobstream: class %q trace recording: %w", c.Label(), err)
+				}
+				return ts, nil
+			})
 		}
-		rres, err := r.Run(rspec)
-		if err != nil {
-			return nil, fmt.Errorf("jobstream: class %q replicated reference: %w", c.Label(), err)
-		}
-		out[i] = classCtx{
-			class: c, nativeSpec: nspec, replSpec: rspec,
-			nativeWall: nres.WallSeconds, replWall: rres.WallSeconds,
-		}
+		refs = append(refs, nspec, rspec)
+	}
+	res, err := r.runBatch(workers, refs)
+	if err != nil {
+		return nil, fmt.Errorf("jobstream: class references: %w", err)
+	}
+	for i := range out {
+		out[i].nativeWall = res[2*i].WallSeconds
+		out[i].replWall = res[2*i+1].WallSeconds
 	}
 	return out, nil
 }
@@ -81,7 +105,7 @@ type cellParams struct {
 	scheduler string
 	policy    string
 	classes   []classCtx
-	runner    Runner
+	runner    *memoRunner
 }
 
 // cellWire is one cell's measured outcome — the stored and aggregated
@@ -143,25 +167,40 @@ type crashEv struct {
 // scheduler and one policy on a fresh cluster, against the trial's shared
 // failure trace. Everything is deterministic in the cell coordinates.
 func runCell(p cellParams) (cellWire, error) {
-	sched, err := newScheduler(p.scheduler)
+	c, err := newCellRun(p)
 	if err != nil {
 		return cellWire{}, err
+	}
+	return c.run()
+}
+
+// newCellRun builds one cell's scheduler, policy, cluster and failure
+// trace, ready to run.
+func newCellRun(p cellParams) (*cellRun, error) {
+	sched, err := newScheduler(p.scheduler)
+	if err != nil {
+		return nil, err
 	}
 	pol, err := newPolicy(p.policy)
 	if err != nil {
-		return cellWire{}, err
+		return nil, err
 	}
-	arrivals := genArrivals(p.w, p.rate, p.seed, p.trial)
 	c := &cellRun{
 		p:     p,
 		trace: newFailTrace(p.w.Nodes, p.w.MTBFSeconds, fault.TrialSeed(p.seed, failureLane, p.trial)),
 		cl:    NewCluster(p.w.Nodes),
 		sched: sched, pol: pol,
-		jobs:    make([]job, len(arrivals)),
+		jobs:    make([]job, p.w.Jobs),
 		killBuf: make([]int, maxLogical(p.classes)),
 	}
 	c.view.Nodes = p.w.Nodes
+	return c, nil
+}
 
+// run drives the cell's event loop to the last completion and folds the
+// outcome into its wire record.
+func (c *cellRun) run() (cellWire, error) {
+	arrivals := genArrivals(c.p.w, c.p.rate, c.p.seed, c.p.trial)
 	nextA, done := 0, 0
 	now := 0.0
 	for done < len(c.jobs) {
@@ -358,6 +397,8 @@ func (c *cellRun) execCCR(j *job, cc *classCtx) (float64, bool, error) {
 // its lanes interrupts the job (replication's unsurvivable case); the
 // survivable prefix becomes a crash schedule for the cluster simulator,
 // whose measured makespan is the job's duration if it completes first.
+// A crashed run replays the class's recorded trace instead of executing
+// the app; a crash-free one is the class reference, served from the memo.
 func (c *cellRun) execReplicated(j *job, cc *classCtx) (float64, bool, error) {
 	logical := cc.class.Logical
 	degree := j.dec.Degree
@@ -394,14 +435,16 @@ func (c *cellRun) execReplicated(j *job, cc *classCtx) (float64, bool, error) {
 			}
 		}
 		spec := cc.replSpec
+		var trace func() (*core.TraceSet, error)
 		if fatalIdx > 0 {
 			fs := &fault.Schedule{Crashes: make([]fault.Crash, fatalIdx)}
 			for k, e := range c.evBuf[:fatalIdx] {
 				fs.Crashes[k] = fault.Crash{Logical: e.rank, Lane: e.lane, Time: sim.Seconds(e.t)}
 			}
 			spec.Fault = fs
+			trace = cc.replTrace
 		}
-		res, err := c.p.runner.Run(spec)
+		res, err := c.p.runner.Run(spec, trace)
 		if err != nil {
 			return 0, false, err
 		}

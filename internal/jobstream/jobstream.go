@@ -14,7 +14,12 @@
 // completion back into the stream — and every (rate, scheduler, policy)
 // cell reports throughput, bounded slowdown (mean and P95), utilization
 // and goodput, aggregated over seeded trials with 95% confidence
-// intervals.
+// intervals. A replicated job hit by crashes replays its class's
+// recorded fault-free trace instead of executing the app's kernels:
+// under send-deterministic replication a crash never changes a logical
+// rank's operation sequence, so the job's makespan and crash outcome are
+// those of an execution. Each class records its trace at most once, on
+// its first crashed replicated job.
 //
 // The determinism contract is the repository's usual one: a run is
 // byte-identical at any worker count, cells persist in the result store
@@ -163,7 +168,7 @@ func forEachCell(workers, n int, fn func(i int)) {
 // the effective seed, the canonical cell list, the class contexts (their
 // reference simulations run here, through the store when one is set) and
 // the per-cell store keys.
-func prepare(cfg Config, w *scenario.Workload, r Runner) (cells []cell, groups int, seed int64, classes []classCtx, keys []string, err error) {
+func prepare(cfg Config, w *scenario.Workload, r *memoRunner, record recordFunc) (cells []cell, groups int, seed int64, classes []classCtx, keys []string, err error) {
 	if err = w.Validate(); err != nil {
 		return
 	}
@@ -172,7 +177,7 @@ func prepare(cfg Config, w *scenario.Workload, r Runner) (cells []cell, groups i
 	}
 	seed = cfg.seed(w)
 	cells, groups = enumerate(w, cfg.trials())
-	classes, err = buildClasses(w, r)
+	classes, err = buildClasses(cfg.Workers, w, r, record)
 	if err != nil {
 		return
 	}
@@ -194,8 +199,14 @@ func prepare(cfg Config, w *scenario.Workload, r Runner) (cells []cell, groups i
 // trial aggregates per group. Output is byte-identical at any worker
 // count and any store temperature.
 func Run(cfg Config, w *scenario.Workload) (*Result, error) {
+	return run(cfg, w, experiments.RecordTraces)
+}
+
+// run is Run with the trace recorder as a parameter (nil: crashed
+// replicated jobs execute the app).
+func run(cfg Config, w *scenario.Workload, record recordFunc) (*Result, error) {
 	runner := newMemoRunner(cfg.Store)
-	cells, groups, seed, classes, keys, err := prepare(cfg, w, runner)
+	cells, groups, seed, classes, keys, err := prepare(cfg, w, runner, record)
 	if err != nil {
 		return nil, err
 	}

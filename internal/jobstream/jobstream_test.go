@@ -320,7 +320,8 @@ func TestRunStoreWarmAndSharded(t *testing.T) {
 	}
 
 	// Three populate shards partition the cells exactly; the merged store
-	// then serves a full Run without a single simulation.
+	// then serves a full Run without a single simulation or trace
+	// recording.
 	dir2 := t.TempDir()
 	totalOwned := 0
 	for i := 0; i < 3; i++ {
@@ -354,7 +355,8 @@ func TestRunStoreWarmAndSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := Run(Config{Trials: 2, Store: mst}, w)
+	var rc recordCounter
+	merged, err := run(Config{Trials: 2, Store: mst}, w, rc.record)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,6 +365,9 @@ func TestRunStoreWarmAndSharded(t *testing.T) {
 	}
 	if s := mst.Stats(); s.Misses != 0 {
 		t.Fatalf("merged run should be fully warm: %s", s.String())
+	}
+	if n := rc.total(); n != 0 {
+		t.Fatalf("merged run recorded %d traces, want 0", n)
 	}
 	if err := mst.Close(); err != nil {
 		t.Fatal(err)

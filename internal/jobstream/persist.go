@@ -78,7 +78,7 @@ func Populate(cfg Config, w *scenario.Workload, sh store.Shard) (PopulateStats, 
 		return PopulateStats{}, fmt.Errorf("jobstream: Populate needs Config.Store")
 	}
 	runner := newMemoRunner(cfg.Store)
-	cells, _, seed, classes, keys, err := prepare(cfg, w, runner)
+	cells, _, seed, classes, keys, err := prepare(cfg, w, runner, experiments.RecordTraces)
 	if err != nil {
 		return PopulateStats{}, err
 	}

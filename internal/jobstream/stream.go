@@ -56,21 +56,29 @@ func genArrivals(w *scenario.Workload, rate float64, seed int64, trial int) []ar
 }
 
 // failTrace is the trial's shared node-failure history: one exponential
-// renewal process per node (fault.ExponentialDrawUnclamped with the nodes
-// as "logical" slots), drawn lazily over a doubling horizon. Growing the
-// horizon never disturbs failures already drawn — each node's sub-stream
-// is prefix-stable — so every job can extend its own observation window
-// independently and all cells of a trial agree on every node's history.
+// renewal process per node (fault.Renewal with the nodes as "logical"
+// slots, so node i's failures are ExponentialDrawUnclamped's slot (i, 0)),
+// extended lazily over a doubling horizon. Each doubling appends only the
+// failures beyond the old horizon — a node's stream never redraws — so
+// every job can extend its own observation window independently and all
+// cells of a trial agree on every node's history.
 type failTrace struct {
-	nodes   int
 	mtbf    float64 // per-node MTBF, seconds (0 = failure-free)
-	seed    int64
 	horizon float64
-	times   [][]float64 // per node, ascending absolute seconds
+	streams []fault.Renewal // per node, positioned at horizon
+	times   [][]float64     // per node, ascending absolute seconds
+	buf     []sim.Time      // scratch: one node's newly drawn failures
 }
 
 func newFailTrace(nodes int, mtbfSeconds float64, seed int64) *failTrace {
-	return &failTrace{nodes: nodes, mtbf: mtbfSeconds, seed: seed, times: make([][]float64, nodes)}
+	ft := &failTrace{mtbf: mtbfSeconds, times: make([][]float64, nodes)}
+	if mtbfSeconds > 0 {
+		ft.streams = make([]fault.Renewal, nodes)
+		for i := range ft.streams {
+			ft.streams[i] = fault.NewRenewal(sim.Seconds(mtbfSeconds), seed, i, 0)
+		}
+	}
+	return ft
 }
 
 // ensure extends the drawn horizon to cover `to`.
@@ -85,12 +93,11 @@ func (ft *failTrace) ensure(to float64) {
 	for h < to {
 		h *= 2
 	}
-	d := fault.ExponentialDrawUnclamped(ft.nodes, 1, sim.Seconds(ft.mtbf), sim.Seconds(h), ft.seed)
-	for i := range ft.times {
-		ft.times[i] = ft.times[i][:0]
-	}
-	for _, c := range d.Schedule.Crashes {
-		ft.times[c.Logical] = append(ft.times[c.Logical], c.Time.Seconds())
+	for i := range ft.streams {
+		ft.buf = ft.streams[i].AppendUntil(ft.buf[:0], sim.Seconds(h))
+		for _, t := range ft.buf {
+			ft.times[i] = append(ft.times[i], t.Seconds())
+		}
 	}
 	ft.horizon = h
 }
