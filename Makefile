@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-alloc bench bench-json lint sweep figures campaign campaign-ccr explore check-docs validate-scenarios
+.PHONY: build test test-alloc bench bench-json lint figures campaign campaign-ccr explore check-docs validate-scenarios
 
 build:
 	$(GO) build ./...
@@ -28,11 +28,8 @@ lint:
 		echo "gofmt needed on:" $$files; exit 1; \
 	fi
 
-sweep:
-	$(GO) run ./cmd/sweep -figures all
-
 figures:
-	$(GO) run ./cmd/intrasim -exp all
+	$(GO) run ./cmd/sweep -figures all
 
 campaign:
 	$(GO) run ./cmd/sweep -mode campaign -app gtc -procs 32 -mtbf 0.01,0.1,1

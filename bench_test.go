@@ -16,7 +16,7 @@ import (
 // Figure-level benchmarks: each regenerates one figure of the paper's
 // evaluation on a reduced cluster (so a bench iteration stays fast) and
 // reports the measured efficiencies as benchmark metrics. Run the full
-// paper-scale tables with: go run ./cmd/intrasim -exp all
+// paper-scale tables with: go run ./cmd/sweep -figures all
 
 func cell(b *testing.B, t *experiments.Table, row, col int) float64 {
 	b.Helper()

@@ -529,7 +529,7 @@ func runFigures(sel, procsFlag string, iters int, jsonOut bool) {
 	}
 	procs := 0
 	if procsFlag != "" {
-		// A single explicit -procs overrides the paper scale, as in intrasim.
+		// A single explicit -procs overrides the paper scale.
 		vals := parseInts(procsFlag)
 		if len(vals) != 1 {
 			fail("figure mode takes a single -procs value")

@@ -31,8 +31,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ckpt"
 	"repro/internal/ckptsim"
@@ -676,13 +674,8 @@ func armTrials(cfg Config, scenarios []Scenario, trials int, templates []experim
 			spec := templates[i]
 			spec.Name = fmt.Sprintf("%s/t%03d", sc.Point.Name, t)
 			spec.Fault = d.Schedule
-			// Trials stay on the unbatched world: compute batching collapses
-			// per-chunk wake events, which reorders same-instant event ties
-			// (NIC posting order at crash times among them), so faulty trials
-			// drift from the reference schedule by a few microseconds. Trace
-			// replay has no such effect — the op sequence and every
-			// communication instant are identical — so it is the only trial
-			// accelerator.
+			// Trace replay keeps the op sequence and every communication
+			// instant identical, so it is the only trial accelerator.
 			spec.Replay = traces[i]
 			p.specs = append(p.specs, spec)
 		}
@@ -712,37 +705,13 @@ func runCCRTrials(cfg Config, scenarios []Scenario, trials int,
 			jobs = append(jobs, job{i, t})
 		}
 	}
-	if len(jobs) == 0 {
-		return out
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1))
-				if j >= len(jobs) {
-					return
-				}
-				i, t := jobs[j].sc, jobs[j].trial
-				sc := scenarios[i]
-				work := baseRes[2*i].Measure.Wall.Seconds()
-				out[i][t] = ccrTrial(work, params[i], sc.Point.Logical, sc.MTBF,
-					horizons[i], grow[i], fault.TrialSeed(cfg.Seed, i, t))
-			}
-		}()
-	}
-	wg.Wait()
+	experiments.ForEach(cfg.Workers, len(jobs), func(j int) {
+		i, t := jobs[j].sc, jobs[j].trial
+		sc := scenarios[i]
+		work := baseRes[2*i].Measure.Wall.Seconds()
+		out[i][t] = ccrTrial(work, params[i], sc.Point.Logical, sc.MTBF,
+			horizons[i], grow[i], fault.TrialSeed(cfg.Seed, i, t))
+	})
 	return out
 }
 

@@ -53,12 +53,6 @@ type ClusterConfig struct {
 	// to Engine for the message layer. Worlds sharing a scratch must run
 	// sequentially on one goroutine.
 	Scratch *mpi.Scratch
-
-	// BatchCompute builds the world with deferred compute accounting
-	// (mpi.World.SetBatchedCompute): identical simulated outcomes, far
-	// fewer engine events. Leave off when the engine's event count is part
-	// of the tracked output.
-	BatchCompute bool
 }
 
 // DefaultPlatform returns the Grid'5000-like platform of §V-B.
@@ -113,7 +107,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Scratch != nil {
 		w.UseScratch(cfg.Scratch)
 	}
-	w.SetBatchedCompute(cfg.BatchCompute)
 	c := &Cluster{Cfg: cfg, E: e, W: w}
 	if cfg.Mode.Replicated() {
 		c.Sys = replication.New(w, replication.Config{

@@ -94,23 +94,13 @@ type Spec struct {
 	// once.
 	Fault *fault.Schedule
 
-	// BatchCompute runs the point on a batched-compute world: compute-only
-	// stretches between communications collapse into one engine event
-	// instead of one per kernel. Simulated outcomes (every virtual time,
-	// every message, every crash consequence) are identical to the
-	// unbatched run; only the diagnostic SimEvents counter shrinks. It is
-	// therefore an execution strategy, not a semantic parameter, and is
-	// excluded from the memo key — callers that serialize SimEvents (the
-	// JSON sweep reports) must leave it off.
-	BatchCompute bool
-
 	// Replay, when non-nil, substitutes the application's main with a
 	// replay of the recorded traces (RecordTraces): the simulated
 	// makespan, crash consequences and physical layout are identical to
 	// executing the application, but its kernels never run. On an intra
 	// spec the section protocol still runs for real, so the event count
-	// and the runtime Stats are re-derived too. Like BatchCompute it is an
-	// execution strategy excluded from the memo key; unlike it, the
+	// and the runtime Stats are re-derived too. It is an execution strategy,
+	// not a semantic parameter, so it is excluded from the memo key; the
 	// app's own reports (kernel timings, the in-app total, and on classic
 	// specs the section Stats) are not re-derived, so only callers that
 	// consume wall times and crash outcomes — the failure campaigns and
@@ -320,6 +310,37 @@ func dedupe(specs []Spec) (uniq []Spec, keys []string, uniqOf []int) {
 	return uniq, keys, uniqOf
 }
 
+// ForEach runs fn(i) for every i in [0, n) on a pool of workers
+// (GOMAXPROCS when workers <= 0, never more than n) and returns when all
+// calls have. Indices are handed out in order, each exactly once; fn must
+// be safe to call concurrently. It is the index fan-out shared by the
+// campaign, explore and jobstream runners.
+func ForEach(workers, n int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	next.Store(-1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1))
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // forEachUnique runs fn(eng, sc, j) for j in [0, n) on a pool of workers.
 // Each worker owns one pooled simulation engine and one mpi scratch for its
 // whole lifetime: fn receives the engine Reset (time zero, empty queue,
@@ -427,7 +448,7 @@ func runSpec(eng *sim.Engine, sc *mpi.Scratch, s Spec) (Result, error) {
 		Logical: s.Logical, Mode: s.Mode, Degree: s.Degree,
 		Net: s.Net, Machine: s.Machine, IntraOpts: s.Opts,
 		SendLog: crashes > 0,
-		Engine:  eng, Scratch: sc, BatchCompute: s.BatchCompute,
+		Engine:  eng, Scratch: sc,
 	})
 	if err != nil {
 		return Result{}, err

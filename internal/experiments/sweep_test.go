@@ -428,3 +428,20 @@ func TestCCRSpecMemoSharesNativeRun(t *testing.T) {
 		t.Fatalf("plain ccr sweep point: %+v", one[0])
 	}
 }
+
+// TestForEachRunsEveryIndexOnce pins the shared index fan-out: every index
+// in [0, n) runs exactly once at any worker count, including the defaulted
+// (0 = GOMAXPROCS) and the more-workers-than-indices cases.
+func TestForEachRunsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 17} {
+		for _, workers := range []int{0, 1, 4, 32} {
+			counts := make([]atomic.Int32, n)
+			ForEach(workers, n, func(i int) { counts[i].Add(1) })
+			for i := range counts {
+				if c := counts[i].Load(); c != 1 {
+					t.Errorf("n=%d workers=%d: index %d ran %d times", n, workers, i, c)
+				}
+			}
+		}
+	}
+}

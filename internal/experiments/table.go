@@ -10,7 +10,7 @@ import (
 )
 
 // Table is a regenerated figure: the same series the paper plots, as rows.
-// The JSON form is what `cmd/intrasim -json` and `cmd/sweep -json` emit.
+// The JSON form is what `cmd/sweep -figures ... -json` emits.
 type Table struct {
 	ID     string     `json:"id"`
 	Title  string     `json:"title"`

@@ -32,10 +32,7 @@ package explore
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/campaign"
 	"repro/internal/ckpt"
@@ -290,7 +287,7 @@ func (e *explorer) runBatch(cells []*cell, allocs []int) error {
 	}
 	replayWalls := make([]float64, len(jobs))
 	replayFails := make([]int, len(jobs))
-	runJobs(e.cfg.Workers, len(jobs), func(j int) {
+	experiments.ForEach(e.cfg.Workers, len(jobs), func(j int) {
 		tr := cells[jobs[j].cell].p.CCRTrial(jobs[j].trial)
 		replayWalls[j] = tr.Makespan
 		replayFails[j] = tr.Failures
@@ -321,36 +318,6 @@ func (e *explorer) runBatch(cells []*cell, allocs []int) error {
 		c.n += a
 	}
 	return nil
-}
-
-// runJobs fans n independent jobs over the worker count.
-func runJobs(workers, n int, fn func(int)) {
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1))
-				if j >= n {
-					return
-				}
-				fn(j)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // bisectCrossovers is engine 2: pair each measured ccr series with the

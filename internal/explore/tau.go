@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/ckptsim"
+	"repro/internal/experiments"
 )
 
 const (
@@ -75,7 +76,7 @@ func (e *explorer) tauSearchCell(c *cell) TauResult {
 		res.Trials += e.cfg.TauTraces
 		params := ckptsim.Params{Tau: tau, Delta: p.Params.Delta, Restart: p.Params.Restart}
 		walls := make([]float64, e.cfg.TauTraces)
-		runJobs(e.cfg.Workers, len(walls), func(k int) {
+		experiments.ForEach(e.cfg.Workers, len(walls), func(k int) {
 			walls[k] = p.ReplayTrace(1, k, params).Makespan
 		})
 		sum := 0.0

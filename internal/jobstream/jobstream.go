@@ -31,9 +31,6 @@ package jobstream
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
@@ -137,33 +134,6 @@ type Result struct {
 	Groups      []Group `json:"groups"`
 }
 
-// forEachCell is the jobstream worker pool: fn(i) for i in [0, n).
-func forEachCell(workers, n int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // prepare validates the workload and resolves everything cells share:
 // the effective seed, the canonical cell list, the class contexts (their
 // reference simulations run here, through the store when one is set) and
@@ -213,7 +183,7 @@ func run(cfg Config, w *scenario.Workload, record recordFunc) (*Result, error) {
 	wires := make([]cellWire, len(cells))
 	errs := make([]error, len(cells))
 	experiments.Progress.Plan(len(cells))
-	forEachCell(cfg.Workers, len(cells), func(i int) {
+	experiments.ForEach(cfg.Workers, len(cells), func(i int) {
 		defer experiments.Progress.Done()
 		c := cells[i]
 		wires[i], _, errs[i] = runOrLoadCell(cfg.Store, keys[i], cellParams{

@@ -94,7 +94,7 @@ func Populate(cfg Config, w *scenario.Workload, sh store.Shard) (PopulateStats, 
 	hits := make([]bool, len(owned))
 	errs := make([]error, len(owned))
 	experiments.Progress.Plan(len(owned))
-	forEachCell(cfg.Workers, len(owned), func(k int) {
+	experiments.ForEach(cfg.Workers, len(owned), func(k int) {
 		defer experiments.Progress.Done()
 		i := owned[k]
 		c := cells[i]

@@ -82,7 +82,7 @@ func runCells(t *testing.T, w *scenario.Workload, record recordFunc) cellsRun {
 	errs := make([]error, len(cells))
 	// Cells run concurrently, so the lazily recorded class traces are
 	// shared by racing workers, as in Run.
-	forEachCell(workers, len(cells), func(i int) {
+	experiments.ForEach(workers, len(cells), func(i int) {
 		ce := cells[i]
 		c, err := newCellRun(cellParams{
 			w: w, rate: ce.rate, seed: seed, trial: ce.trial,

@@ -49,7 +49,6 @@ type collSM struct {
 
 // startColl readies the rank's pooled machine for one collective.
 func (r *Rank) startColl(c *Comm, op int) *collSM {
-	r.flush()
 	me := c.CommRank(r.st.rank)
 	if me < 0 {
 		panic(errNotMember(r.st.rank, c.id))

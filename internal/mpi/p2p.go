@@ -27,10 +27,8 @@ func (r *Rank) World() *Comm { return r.st.w.world }
 // Node returns the node this rank is placed on.
 func (r *Rank) Node() int { return r.st.node }
 
-// Now returns the current virtual time. On a batched-compute world this
-// includes the rank's deferred compute, so timing measurements see the
-// exact schedule an unbatched run would produce.
-func (r *Rank) Now() sim.Time { return r.p.Now() + r.st.pending }
+// Now returns the current virtual time.
+func (r *Rank) Now() sim.Time { return r.p.Now() }
 
 // Proc returns the underlying simulated process.
 func (r *Rank) Proc() *sim.Proc { return r.p }
@@ -41,28 +39,10 @@ func (r *Rank) Stats() Stats { return r.st.stats }
 // Machine returns the world's per-core compute model.
 func (r *Rank) Machine() perf.Machine { return r.st.w.machine }
 
-// Compute charges d of virtual CPU time to this rank. On a batched-compute
-// world the charge is deferred: consecutive compute stretches collapse into
-// one Sleep at the next communication instead of entering the event queue
-// per kernel.
+// Compute charges d of virtual CPU time to this rank.
 func (r *Rank) Compute(d sim.Time) {
 	r.st.stats.Compute += d
-	if r.st.w.batch {
-		r.st.pending += d
-		return
-	}
 	r.p.Sleep(d)
-}
-
-// flush realizes deferred compute time. Every operation whose outcome can
-// depend on the current instant calls it first, so a batched world makes
-// exactly the same externally visible transitions, at the same virtual
-// times, as an unbatched one.
-func (r *Rank) flush() {
-	if d := r.st.pending; d > 0 {
-		r.st.pending = 0
-		r.p.Sleep(d)
-	}
 }
 
 // ComputeWork charges the virtual time of w under the world's machine model.
@@ -73,13 +53,11 @@ func (r *Rank) ComputeWork(w perf.Work) {
 // Crash crash-stops the calling rank (used by fault injection callbacks
 // running inside the rank's program).
 func (r *Rank) Crash() {
-	r.flush()
 	r.p.Crash()
 }
 
 // Dead reports whether another rank has crashed.
 func (r *Rank) Dead(rank int) bool {
-	r.flush()
 	return r.st.w.ranks[rank].dead
 }
 
@@ -167,7 +145,6 @@ func (r *Rank) Isend(c *Comm, dst, tag int, data []float64, meta any) *Request {
 // IsendOwned is Isend without the defensive copy: ownership of data
 // transfers to the runtime. Use when the caller has already cloned.
 func (r *Rank) IsendOwned(c *Comm, dst, tag int, data []float64, meta any) *Request {
-	r.flush()
 	return r.st.isendOwned(c, dst, tag, data, meta)
 }
 
@@ -176,7 +153,6 @@ func (r *Rank) IsendOwned(c *Comm, dst, tag int, data []float64, meta any) *Requ
 // of the modeled problem (data is still copied; the envelope is added on
 // top of payloadBytes).
 func (r *Rank) IsendSized(c *Comm, dst, tag int, data []float64, meta any, payloadBytes int64) *Request {
-	r.flush()
 	buf := make([]float64, len(data))
 	copy(buf, data)
 	return r.st.isendSized(c, dst, tag, buf, meta, payloadBytes)
@@ -318,7 +294,6 @@ func (st *rankState) isendPooled(c *Comm, dst, tag int, data []float64, meta any
 // and returns it via RecycleMessage (or drops it — the pool then simply does
 // not grow); a receiver that retains msg.Data must not see pooled sends.
 func (r *Rank) IsendPooled(c *Comm, dst, tag int, data []float64, meta any, payloadBytes int64) *Request {
-	r.flush()
 	return r.st.isendPooled(c, dst, tag, data, meta, payloadBytes)
 }
 
@@ -408,7 +383,6 @@ func (st *rankState) deliver(key matchKey, ch *chanState, msg *Message) {
 
 // Irecv posts a nonblocking receive matching (src, tag) on c.
 func (r *Rank) Irecv(c *Comm, src, tag int) *Request {
-	r.flush()
 	req := newRequest(r.st, true, matchKey{src: c.WorldRank(src), tag: tag, comm: c.id})
 	r.st.postRecv(req)
 	return req
@@ -454,7 +428,6 @@ func (ch *chanState) removePending(rq *Request) {
 
 // Wait blocks until the request completes and returns its error.
 func (r *Rank) Wait(rq *Request) error {
-	r.flush()
 	t0 := r.p.Now()
 	_, err := rq.fut.Wait(r.p, waitReason(rq))
 	r.st.stats.Blocked += r.p.Now() - t0
@@ -497,28 +470,8 @@ func (r *Rank) Waitall(reqs []*Request) error {
 // the caller: every request returns to the world pool after its wait, like
 // the blocking Send/Recv convenience wrappers. The replication layer's
 // blocking sends drain their scratch request slice through this.
-//
-// On a batched-compute world the drain runs back to front. Sends on one NIC
-// complete in posting order, so waiting on the last request first parks the
-// process once, at the final completion time, instead of once per request —
-// the resume instant, the total Blocked time and every other virtual outcome
-// are identical, but the intermediate wake events never enter the engine.
-// Like compute batching itself this perturbs only the event count, which is
-// why it rides the same flag: worlds that serialize event sequences keep the
-// front-to-back drain.
 func (r *Rank) WaitallOwned(reqs []*Request) error {
 	var first error
-	if r.st.w.batch {
-		for i := len(reqs) - 1; i >= 0; i-- {
-			rq := reqs[i]
-			if err := r.Wait(rq); err != nil {
-				first = err // ends at the lowest-index error, like Waitall
-			}
-			r.st.w.putRequest(rq)
-			reqs[i] = nil
-		}
-		return first
-	}
 	for i, rq := range reqs {
 		if err := r.Wait(rq); err != nil && first == nil {
 			first = err
@@ -538,7 +491,6 @@ func (r *Rank) WaitallOwned(reqs []*Request) error {
 // allocation-free, and one that retains msg.Data simply keeps it — the pool
 // then does not grow.
 func (r *Rank) Send(c *Comm, dst, tag int, data []float64, meta any) error {
-	r.flush()
 	rq := r.st.isendPooled(c, dst, tag, data, meta, 8*int64(len(data)))
 	err := r.Wait(rq)
 	r.st.w.putRequest(rq)
@@ -559,7 +511,6 @@ func (r *Rank) Recv(c *Comm, src, tag int) (*Message, error) {
 // TryRecv returns a queued message matching (src, tag) if one has already
 // arrived; it never blocks.
 func (r *Rank) TryRecv(c *Comm, src, tag int) (*Message, bool) {
-	r.flush()
 	st := r.st
 	key := matchKey{src: c.WorldRank(src), tag: tag, comm: c.id}
 	if ch := st.chans[key]; ch != nil && len(ch.unexpected) > 0 {

@@ -42,7 +42,6 @@ type World struct {
 	reqSeq    uint64
 	world     *Comm
 	deathSubs []func(rank int)
-	batch     bool // defer compute stretches until the next communication
 
 	// Free lists (see Scratch). A world starts with private, empty ones;
 	// UseScratch swaps in a caller-owned bundle that survives the world.
@@ -99,7 +98,6 @@ type rankState struct {
 	outgoing  []*outMsg               // transfers this rank has in flight
 	delivered int                     // outgoing entries delivered since last prune
 	stats     Stats
-	pending   sim.Time   // deferred compute time (batched-compute worlds)
 	coll      *collSM    // pooled collective state machine (lazy)
 	scalar    [1]float64 // scratch cell backing AllreduceScalar
 }
@@ -372,17 +370,6 @@ func (w *World) Dead(rank int) bool { return w.ranks[rank].dead }
 // StatsOf returns a copy of the rank's accounting counters.
 func (w *World) StatsOf(rank int) Stats { return w.ranks[rank].stats }
 
-// SetBatchedCompute toggles deferred compute accounting: Compute calls
-// accumulate into a per-rank pending duration instead of sleeping per call,
-// and the single real Sleep happens at the next operation whose outcome can
-// depend on the current instant (any send, receive, wait, collective, crash
-// or death query — and program end, so a rank stays killable through its
-// trailing compute). Rank.Now always reports engine time plus the rank's
-// pending compute, so virtual-time measurements are identical to the
-// unbatched schedule; only the engine's event count differs. Harnesses that
-// serialize event counts must leave batching off. Set before Launch.
-func (w *World) SetBatchedCompute(on bool) { w.batch = on }
-
 // OnDeath registers fn to be invoked in engine context when a rank dies,
 // after undeliverable receives have been failed.
 func (w *World) OnDeath(fn func(rank int)) { w.deathSubs = append(w.deathSubs, fn) }
@@ -394,11 +381,7 @@ func (w *World) Launch(name string, rank int, fn func(r *Rank)) {
 		panic(fmt.Sprintf("mpi: rank %d launched twice", rank))
 	}
 	st.proc = w.e.Spawn(name, func(p *sim.Proc) {
-		r := &Rank{st: st, p: p}
-		fn(r)
-		// Realize any trailing deferred compute: the rank's process must
-		// stay alive (and killable) until its true virtual end time.
-		r.flush()
+		fn(&Rank{st: st, p: p})
 	})
 	st.proc.SetUserData(st)
 }
