@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -29,7 +28,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
-	"repro/internal/explore"
 	"repro/internal/jobstream"
 	"repro/internal/mpi"
 	"repro/internal/perf"
@@ -63,28 +61,6 @@ type Speedup struct {
 	AllocsRatio float64 `json:"allocs_ratio_x"` // baseline allocs/op ÷ current (+1 each to tolerate zero)
 }
 
-// ExploreBench compares two ways of locating the ccr-vs-replication
-// efficiency crossover to comparable resolution: a fixed dense MTBF grid
-// at a fixed per-point trial count, and the adaptive explorer (coarse
-// two-point axis, CI-driven refinement plus bisection) whose bracket
-// target equals the fixed grid's step ratio. TrialsRatio is the headline:
-// fixed trials over adaptive (refine + bisect; tau search excluded — the
-// fixed side has no counterpart).
-type ExploreBench struct {
-	FixedPoints       int     `json:"fixed_points"`
-	FixedTrials       int     `json:"fixed_trials"`
-	FixedStepRatio    float64 `json:"fixed_step_ratio"`
-	FixedCrossover    float64 `json:"fixed_crossover_mtbf_seconds"`
-	FixedSeconds      float64 `json:"fixed_seconds"`
-	AdaptiveTrials    int     `json:"adaptive_trials"`
-	AdaptiveCross     float64 `json:"adaptive_crossover_mtbf_seconds"`
-	AdaptiveLo        float64 `json:"adaptive_bracket_lo_seconds"`
-	AdaptiveHi        float64 `json:"adaptive_bracket_hi_seconds"`
-	AdaptiveSeparated bool    `json:"adaptive_separated"`
-	AdaptiveSeconds   float64 `json:"adaptive_seconds"`
-	TrialsRatio       float64 `json:"trials_ratio_x"`
-}
-
 // Output is the BENCH_sim.json schema.
 type Output struct {
 	GeneratedAt string             `json:"generated_at"`
@@ -92,7 +68,6 @@ type Output struct {
 	GoMaxProcs  int                `json:"gomaxprocs"`
 	Micro       []Bench            `json:"micro"`
 	Macro       []Macro            `json:"macro"`
-	Explore     *ExploreBench      `json:"explore_crossover,omitempty"`
 	Baseline    []Bench            `json:"baseline"`
 	Speedup     map[string]Speedup `json:"speedup_vs_baseline"`
 }
@@ -325,113 +300,12 @@ func runJobstreamMacro(trials int) (Macro, error) {
 	}, nil
 }
 
-// exploreGrid builds the crossover pairing the explore macro measures
-// (the scenarios/explore-crossover.json workload inlined so the tool runs
-// from any working directory): GTC under ccr and intra replication at each
-// requested per-node MTBF.
-func exploreGrid(mtbfs []float64) []campaign.Scenario {
-	cfg := json.RawMessage(`{"Cells": 64, "PerCell": 25, "Zones": 8, "Steps": 2, "Dt": 0.02, "Scale": 64, "ShiftFrac": 0.05, "AuxBytes": 180, "IntraCharge": true, "IntraPush": true}`)
-	var scs []campaign.Scenario
-	for _, m := range mtbfs {
-		scs = append(scs, campaign.Scenario{
-			MTBF: sim.Seconds(m),
-			Point: scenario.Scenario{
-				Name: fmt.Sprintf("bench/gtc/ccr/p8/mtbf%g", m),
-				App:  "gtc", Config: cfg, Mode: scenario.CCR, Logical: 8,
-			},
-		}, campaign.Scenario{
-			MTBF: sim.Seconds(m),
-			Point: scenario.Scenario{
-				Name: fmt.Sprintf("bench/gtc/intra/p8/d2/mtbf%g", m),
-				App:  "gtc", Config: cfg, Mode: scenario.Intra, Logical: 8, Degree: 2,
-			},
-		})
-	}
-	return scs
-}
-
-// runExploreMacro races the two crossover-location strategies to the same
-// resolution. The fixed side samples a dense log-spaced MTBF axis (step
-// ratio r) at a uniform per-point trial count and log-interpolates, the
-// campaign's rule; the adaptive side gets only the two endpoints and a
-// bracket target equal to r, so its bisection must localize the crossover
-// as tightly as the fixed grid's spacing. Both run the same simulator on
-// the same scenario family, so trial counts are directly comparable. The
-// default per-point count (100) is the explorer's own per-probe cap — the
-// trials it takes to resolve the sign of the efficiency difference at a
-// contested point; a fixed design cannot know in advance which points are
-// contested, so it pays that count everywhere.
-func runExploreMacro(perPoint int) (*ExploreBench, error) {
-	const loMTBF, hiMTBF = 0.02, 0.5
-	const fixedSteps = 8
-	stepRatio := math.Pow(hiMTBF/loMTBF, 1.0/fixedSteps)
-
-	mtbfs := make([]float64, fixedSteps+1)
-	for i := range mtbfs {
-		mtbfs[i] = loMTBF * math.Pow(stepRatio, float64(i))
-	}
-	fixedScs := exploreGrid(mtbfs)
-	start := time.Now()
-	fres, err := campaign.Run(campaign.Config{Trials: perPoint, Seed: 1}, fixedScs)
-	if err != nil {
-		return nil, fmt.Errorf("explore macro, fixed grid: %w", err)
-	}
-	fixedSecs := time.Since(start).Seconds()
-	if len(fres.Crossovers) != 1 || fres.Crossovers[0].MeasuredNodeMTBFSeconds == 0 {
-		return nil, fmt.Errorf("explore macro: fixed grid found no crossover (%+v)", fres.Crossovers)
-	}
-
-	// Generous budget: the adaptive run stops on its own convergence
-	// criteria (target CI met, bracket ratio met), and what it actually
-	// spent is the measurement.
-	start = time.Now()
-	ares, err := explore.Run(explore.Config{
-		Budget: len(fixedScs) * perPoint, TargetCI: 0.1,
-		BracketRatio: stepRatio, TauTraces: 2, Seed: 1,
-	}, exploreGrid([]float64{loMTBF, hiMTBF}))
-	if err != nil {
-		return nil, fmt.Errorf("explore macro, adaptive: %w", err)
-	}
-	adaptiveSecs := time.Since(start).Seconds()
-	if len(ares.Crossovers) != 1 {
-		return nil, fmt.Errorf("explore macro: adaptive run found no crossover")
-	}
-	ax := ares.Crossovers[0]
-	if ax.MeasuredNodeMTBFSeconds == 0 {
-		return nil, fmt.Errorf("explore macro: adaptive run found no bracket to bisect")
-	}
-	// The two estimators must agree to within two fixed-grid steps —
-	// otherwise the trial comparison below compares different answers.
-	fx, am := fres.Crossovers[0].MeasuredNodeMTBFSeconds, ax.MeasuredNodeMTBFSeconds
-	if r := math.Max(fx, am) / math.Min(fx, am); r > stepRatio*stepRatio {
-		return nil, fmt.Errorf("explore macro: estimates disagree: fixed %.4g vs adaptive %.4g (%.2fx apart)", fx, am, r)
-	}
-
-	fixedTrials := len(fixedScs) * perPoint
-	adaptiveTrials := ares.SpentRefine + ares.SpentBisect
-	return &ExploreBench{
-		FixedPoints:       len(fixedScs),
-		FixedTrials:       fixedTrials,
-		FixedStepRatio:    stepRatio,
-		FixedCrossover:    fres.Crossovers[0].MeasuredNodeMTBFSeconds,
-		FixedSeconds:      fixedSecs,
-		AdaptiveTrials:    adaptiveTrials,
-		AdaptiveCross:     ax.MeasuredNodeMTBFSeconds,
-		AdaptiveLo:        ax.BracketLoSeconds,
-		AdaptiveHi:        ax.BracketHiSeconds,
-		AdaptiveSeparated: ax.Separated,
-		AdaptiveSeconds:   adaptiveSecs,
-		TrialsRatio:       float64(fixedTrials) / float64(adaptiveTrials),
-	}, nil
-}
-
 func main() {
 	out := flag.String("out", "BENCH_sim.json", "output JSON path")
 	reps := flag.Int("sweep-reps", 3, "repetitions of the smoke-grid sweep macro benchmark")
 	trials := flag.Int("trials", 1000, "seeded trials for the campaign macro benchmark (1000 amortizes the reference runs)")
 	jsTrials := flag.Int("jobstream-trials", 5, "seeded trials per cell for the jobstream macro benchmark")
-	expTrials := flag.Int("explore-trials", 100, "fixed-grid trials per point in the explore-crossover macro (100 = the explorer's per-probe resolution cap)")
-	minSpeedup := flag.Float64("min-speedup", 0, "exit nonzero if any speedup_vs_baseline throughput falls below this, or if the explore-crossover trials ratio falls below 3 (0 disables)")
+	minSpeedup := flag.Float64("min-speedup", 0, "exit nonzero if any speedup_vs_baseline throughput falls below this (0 disables)")
 	flag.Parse()
 
 	micro := []Bench{
@@ -468,19 +342,12 @@ func main() {
 		macro = append(macro, m)
 	}
 
-	exp, err := runExploreMacro(*expTrials)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-
 	o := Output{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Micro:       micro,
 		Macro:       macro,
-		Explore:     exp,
 		Baseline:    baseline,
 		Speedup:     speedup,
 	}
@@ -507,8 +374,6 @@ func main() {
 	for _, m := range macro {
 		fmt.Printf("%-20s %6d %s in %.2fs = %.1f/s\n", m.Name, m.Count, m.Units, m.Seconds, m.RatePerSec)
 	}
-	fmt.Printf("explore-crossover    fixed %d trials -> %.3gs, adaptive %d trials -> %.3gs (%.1fx fewer trials)\n",
-		exp.FixedTrials, exp.FixedCrossover, exp.AdaptiveTrials, exp.AdaptiveCross, exp.TrialsRatio)
 	fmt.Printf("wrote %s\n", *out)
 
 	if *minSpeedup > 0 {
@@ -519,13 +384,6 @@ func main() {
 					name, s.Throughput, *minSpeedup)
 				bad = true
 			}
-		}
-		// The adaptive explorer's headline claim rides the same gate: the
-		// crossover must cost at most a third of the fixed grid's trials.
-		if exp.TrialsRatio < 3 {
-			fmt.Fprintf(os.Stderr, "bench: explore-crossover regressed: %.2fx trials ratio < 3x floor\n",
-				exp.TrialsRatio)
-			bad = true
 		}
 		if bad {
 			os.Exit(1)

@@ -57,8 +57,10 @@
 // DIR backs the run with a content-addressed on-disk cache (points already
 // present are served without simulating; fresh ones are appended), -shard
 // i/N turns the run into one shard of a multi-process campaign (it
-// simulates and persists only the unique points with index ≡ i mod N,
-// reporting a populate summary instead of results), and the merge
+// computes and persists only the work units — unique sweep points,
+// campaign trials, jobstream cells — with index ≡ i mod N, and prints one
+// populate summary line, "shard i/N: units=… owned=… computed=… hits=…
+// unkeyed=…", instead of results), and the merge
 // subcommand re-runs the same grid against the merged store — every point
 // a cache hit, so the output is byte-identical to a single-process run —
 // then verifies any stored campaign aggregates, compacts the store to one
@@ -589,20 +591,25 @@ func populateScenarios(w io.Writer, sctx storeCtx, scs []scenario.Scenario, work
 	if err != nil {
 		return err
 	}
-	_, _, stats, err := experiments.PopulateStore(workers, sctx.st, sctx.shard, specs)
+	_, _, stats, err := experiments.SweepShard(workers, sctx.st, sctx.shard, specs)
 	if err != nil {
 		return err
 	}
+	reportPopulate(w, sctx.shard, stats, jsonOut)
+	return nil
+}
+
+// reportPopulate prints the populate summary every -shard run emits in
+// place of results.
+func reportPopulate(w io.Writer, sh store.Shard, stats store.PopulateStats, jsonOut bool) {
 	if jsonOut {
 		emitJSON(w, struct {
 			Shard string `json:"shard"`
-			experiments.PopulateStats
-		}{sctx.shard.String(), stats})
-		return nil
+			store.PopulateStats
+		}{sh.String(), stats})
+		return
 	}
-	fmt.Fprintf(w, "shard %s: %d specs, %d unique, %d owned, %d simulated, %d store hits, %d unkeyed\n",
-		sctx.shard, stats.Specs, stats.Unique, stats.Owned, stats.Simulated, stats.Hits, stats.Unkeyed)
-	return nil
+	fmt.Fprintf(w, "shard %s: %s\n", sh, stats)
 }
 
 // runScenarios sweeps any scenario list and reports it under the one
@@ -822,16 +829,7 @@ func runCampaign(w io.Writer, cfg campaign.Config, scs []campaign.Scenario,
 		if err != nil {
 			return err
 		}
-		if jsonOut {
-			emitJSON(w, struct {
-				Shard string `json:"shard"`
-				campaign.PopulateStats
-			}{sctx.shard.String(), stats})
-			return nil
-		}
-		fmt.Fprintf(w, "shard %s: %d scenarios × %d trials; sweep: %d unique, %d owned, %d simulated, %d store hits; %d ccr replays; %d aggregate records\n",
-			sctx.shard, stats.Scenarios, stats.Trials, stats.Sweep.Unique, stats.Sweep.Owned,
-			stats.Sweep.Simulated, stats.Sweep.Hits, stats.CCRReplays, stats.AggRecords)
+		reportPopulate(w, sctx.shard, stats, jsonOut)
 		return nil
 	}
 	res, err := campaign.Run(cfg, scs)
@@ -869,15 +867,7 @@ func runJobstream(w io.Writer, f *scenario.File, cfg jobstream.Config, jsonOut b
 		if err != nil {
 			return err
 		}
-		if jsonOut {
-			emitJSON(w, struct {
-				Shard string `json:"shard"`
-				jobstream.PopulateStats
-			}{sctx.shard.String(), stats})
-			return nil
-		}
-		fmt.Fprintf(w, "shard %s: %d cells, %d owned, %d simulated, %d store hits\n",
-			sctx.shard, stats.Cells, stats.Owned, stats.Simulated, stats.Hits)
+		reportPopulate(w, sctx.shard, stats, jsonOut)
 		return nil
 	}
 	res, err := jobstream.Run(cfg, f.Workload)

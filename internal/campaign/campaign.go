@@ -364,32 +364,44 @@ type Result struct {
 // points — all fanned out over the worker count, then the deterministic
 // aggregation including the measured crossovers.
 func Run(cfg Config, scenarios []Scenario) (*Result, error) {
+	res, _, err := run(cfg, scenarios, store.Shard{})
+	return res, err
+}
+
+// run is the one campaign pipeline behind Run and Populate: plan,
+// references, the trials shard sh owns, their ccr replays, and the
+// aggregation over those trials, persisted under the shard's label when
+// the campaign has a store. The zero shard owns every trial, so its
+// result is the whole campaign; an active shard's result covers only its
+// own trials.
+func run(cfg Config, scenarios []Scenario, sh store.Shard) (*Result, store.PopulateStats, error) {
 	trials, base, templates, err := planReferences(cfg, scenarios)
 	if err != nil {
-		return nil, err
+		return nil, store.PopulateStats{}, err
 	}
 	experiments.Progress.SetStatus(fmt.Sprintf("campaign: %d scenarios, measuring references", len(scenarios)))
 	baseRes, traces, err := measureReferences(cfg, scenarios, base, templates)
 	if err != nil {
-		return nil, err
+		return nil, store.PopulateStats{}, err
 	}
 	plan, err := armTrials(cfg, scenarios, trials, templates, baseRes, traces)
 	if err != nil {
-		return nil, err
+		return nil, store.PopulateStats{}, err
 	}
 	specs, draws, trialAt := plan.specs, plan.draws, plan.trialAt
 	horizons, grow, params := plan.horizons, plan.grow, plan.params
 	experiments.Progress.SetStatus(fmt.Sprintf("campaign: %d replicated trials (%d specs)", trials, len(specs)))
-	trialRes, err := experiments.SweepStore(cfg.Workers, cfg.Store, specs)
+	trialRes, owned, stats, err := experiments.SweepShard(cfg.Workers, cfg.Store, sh, specs)
 	if err != nil {
-		return nil, fmt.Errorf("campaign trials: %w", err)
+		return nil, stats, fmt.Errorf("campaign trials: %w", err)
 	}
 
 	// Phase 2b: ccr replays, fanned out over the same worker count. Each
 	// replay is independent and deterministic in (seed, scenario, trial),
 	// so the fan-out cannot affect the aggregate.
 	experiments.Progress.SetStatus("campaign: ccr replays")
-	replays := runCCRTrials(cfg, scenarios, trials, baseRes, params, horizons, grow)
+	replays, ccrStats := runCCRTrials(cfg, scenarios, trials, sh, baseRes, params, horizons, grow)
+	stats.Add(ccrStats)
 	experiments.Progress.SetStatus("campaign: aggregating")
 
 	// Phase 3: aggregate per scenario, in grid order.
@@ -399,7 +411,7 @@ func Run(cfg Config, scenarios []Scenario) (*Result, error) {
 		native, ff := baseRes[2*i], baseRes[2*i+1]
 		mtbfS := sc.MTBF.Seconds()
 
-		walls := make([]float64, trials)
+		var walls []float64
 		var cs CrashStats
 		memoHits := 0
 		var ffWall, ffEff float64
@@ -415,8 +427,11 @@ func Run(cfg Config, scenarios []Scenario) (*Result, error) {
 			ffWall = p.FaultFreeMakespan(w)
 			ffEff = w / ffWall * experiments.Efficiency(native.Measure, ff.Measure)
 			for t := 0; t < trials; t++ {
+				if !sh.Owns(t) {
+					continue
+				}
 				tr := replays[i][t]
-				walls[t] = tr.Makespan
+				walls = append(walls, tr.Makespan)
 				cs.Total += tr.Failures
 				if tr.Failures > 0 {
 					cs.TrialsWithCrash++
@@ -437,8 +452,11 @@ func Run(cfg Config, scenarios []Scenario) (*Result, error) {
 			ffWall = ff.Measure.Wall.Seconds()
 			ffEff = experiments.Efficiency(native.Measure, ff.Measure)
 			for t := 0; t < trials; t++ {
+				if !owned[trialAt[i]+t] {
+					continue
+				}
 				r := trialRes[trialAt[i]+t]
-				walls[t] = r.Measure.Wall.Seconds()
+				walls = append(walls, r.Measure.Wall.Seconds())
 				cs.Total += r.Crashes
 				if r.Crashes > 0 {
 					cs.TrialsWithCrash++
@@ -473,8 +491,8 @@ func Run(cfg Config, scenarios []Scenario) (*Result, error) {
 		}
 		cs.MeanPerTrial = float64(cs.Total) / float64(trials)
 
-		slowdowns := make([]float64, trials)
-		effs := make([]float64, trials)
+		slowdowns := make([]float64, len(walls))
+		effs := make([]float64, len(walls))
 		for t := range walls {
 			slowdowns[t] = walls[t] / ffWall
 			effs[t] = ffEff / slowdowns[t]
@@ -497,14 +515,15 @@ func Run(cfg Config, scenarios []Scenario) (*Result, error) {
 		})
 	}
 	out.Crossovers = crossovers(scenarios, out.Scenarios)
-	// A store-backed run persists its (whole-campaign) aggregates, so a
-	// later merge can cross-check them against any sharded scheme's.
+	// A store-backed run persists its aggregates under its shard's label,
+	// so a later merge can cross-check any sharded scheme's against the
+	// pooled statistics.
 	if cfg.Store != nil {
-		if err := persistAggregates(cfg.Store, store.Shard{}, cfg, trials, scenarios, aggs); err != nil {
-			return nil, err
+		if err := persistAggregates(cfg.Store, sh, cfg, trials, scenarios, aggs); err != nil {
+			return nil, stats, err
 		}
 	}
-	return out, nil
+	return out, stats, nil
 }
 
 // measureReferences runs phase 1: the fault-free reference sweep, and the
@@ -688,23 +707,29 @@ func armTrials(cfg Config, scenarios []Scenario, trials int, templates []experim
 // makespan > ~10^6 fault-free walls) is truncated rather than drawn.
 const maxHorizonDoublings = 20
 
-// runCCRTrials replays every ccr scenario's trials concurrently on the
-// configured worker count. Results are indexed [scenario][trial]; entries
-// for replicated scenarios are nil.
-func runCCRTrials(cfg Config, scenarios []Scenario, trials int,
-	baseRes []experiments.Result, params []ckptsim.Params, horizons []sim.Time, grow []bool) [][]ckptsim.Trial {
+// runCCRTrials replays the ccr trials shard sh owns (by trial index)
+// concurrently on the configured worker count. Results are indexed
+// [scenario][trial]; entries for replicated scenarios are nil, and those
+// of unowned trials zero.
+func runCCRTrials(cfg Config, scenarios []Scenario, trials int, sh store.Shard,
+	baseRes []experiments.Result, params []ckptsim.Params, horizons []sim.Time, grow []bool) ([][]ckptsim.Trial, store.PopulateStats) {
 	out := make([][]ckptsim.Trial, len(scenarios))
 	type job struct{ sc, trial int }
 	var jobs []job
+	var stats store.PopulateStats
 	for i, sc := range scenarios {
 		if sc.Point.Mode != scenario.CCR {
 			continue
 		}
 		out[i] = make([]ckptsim.Trial, trials)
+		stats.Units += trials
 		for t := 0; t < trials; t++ {
-			jobs = append(jobs, job{i, t})
+			if sh.Owns(t) {
+				jobs = append(jobs, job{i, t})
+			}
 		}
 	}
+	stats.Owned, stats.Computed = len(jobs), len(jobs)
 	experiments.ForEach(cfg.Workers, len(jobs), func(j int) {
 		i, t := jobs[j].sc, jobs[j].trial
 		sc := scenarios[i]
@@ -712,7 +737,7 @@ func runCCRTrials(cfg Config, scenarios []Scenario, trials int,
 		out[i][t] = ccrTrial(work, params[i], sc.Point.Logical, sc.MTBF,
 			horizons[i], grow[i], fault.TrialSeed(cfg.Seed, i, t))
 	})
-	return out
+	return out, stats
 }
 
 // ccrTrial draws one unclamped failure trace and replays the work under

@@ -6,9 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/experiments"
-	"repro/internal/fault"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -96,90 +93,22 @@ func persistAggregates(st *store.Store, sh store.Shard, cfg Config, trials int, 
 	return nil
 }
 
-// PopulateStats summarizes one shard's campaign populate pass.
-type PopulateStats struct {
-	Scenarios  int                       `json:"scenarios"`   // campaign grid points
-	Trials     int                       `json:"trials"`      // trials per scenario (whole campaign)
-	Sweep      experiments.PopulateStats `json:"sweep"`       // replicated trial sweep, this shard's slice
-	CCRReplays int                       `json:"ccr_replays"` // ccr replays this shard ran
-	AggRecords int                       `json:"agg_records"` // aggregate records persisted
-}
-
 // Populate runs one shard's slice of a campaign and persists everything a
 // later merge needs: the references (store-backed, shared by all shards
 // through first-write-wins dedup), the owned replicated trial simulations
-// (partitioned by unique spec, exactly as experiments.PopulateStore), and
-// one mergeable aggregate record per scenario covering the trials this
-// shard owns — replicated trials by spec ownership, ccr replays by trial
-// index. After every shard of the scheme has run, `Run` against the
-// merged store performs zero simulations and reproduces the
+// (partitioned by unique spec, as experiments.SweepShard partitions any
+// sweep), and one mergeable aggregate record per scenario covering the
+// trials this shard owns — replicated trials by spec ownership, ccr
+// replays by trial index. After every shard of the scheme has run, `Run`
+// against the merged store performs zero simulations and reproduces the
 // single-process campaign byte for byte, and VerifyStoredAggregates
 // cross-checks the pooled statistics against the merged shard aggregates.
-func Populate(cfg Config, scenarios []Scenario, sh store.Shard) (PopulateStats, error) {
-	st := cfg.Store
-	if st == nil {
-		return PopulateStats{}, fmt.Errorf("campaign: Populate needs Config.Store")
+func Populate(cfg Config, scenarios []Scenario, sh store.Shard) (store.PopulateStats, error) {
+	if cfg.Store == nil {
+		return store.PopulateStats{}, fmt.Errorf("campaign: Populate needs Config.Store")
 	}
-	trials, base, templates, err := planReferences(cfg, scenarios)
-	if err != nil {
-		return PopulateStats{}, err
-	}
-	baseRes, traces, err := measureReferences(cfg, scenarios, base, templates)
-	if err != nil {
-		return PopulateStats{}, err
-	}
-	plan, err := armTrials(cfg, scenarios, trials, templates, baseRes, traces)
-	if err != nil {
-		return PopulateStats{}, err
-	}
-	res, ok, sstats, err := experiments.PopulateStore(cfg.Workers, st, sh, plan.specs)
-	if err != nil {
-		return PopulateStats{}, fmt.Errorf("campaign trials: %w", err)
-	}
-	stats := PopulateStats{Scenarios: len(scenarios), Trials: trials, Sweep: sstats}
-
-	// Partial aggregates over this shard's trials, with the per-trial
-	// arithmetic of Run's phase 3 verbatim: the merge cross-check depends
-	// on every shard producing bit-identical per-trial values.
-	aggs := make([][3]Agg, len(scenarios))
-	for i, sc := range scenarios {
-		native, ff := baseRes[2*i], baseRes[2*i+1]
-		var ffWall, ffEff float64
-		addTrial := func(wall float64) {
-			slowdown := wall / ffWall
-			aggs[i][0].Add(wall)
-			aggs[i][1].Add(slowdown)
-			aggs[i][2].Add(ffEff / slowdown)
-		}
-		if sc.Point.Mode == scenario.CCR {
-			w := native.Measure.Wall.Seconds()
-			p := plan.params[i]
-			ffWall = p.FaultFreeMakespan(w)
-			ffEff = w / ffWall * experiments.Efficiency(native.Measure, ff.Measure)
-			for t := 0; t < trials; t++ {
-				if !sh.Owns(t) {
-					continue
-				}
-				tr := ccrTrial(w, p, sc.Point.Logical, sc.MTBF,
-					plan.horizons[i], plan.grow[i], fault.TrialSeed(cfg.Seed, i, t))
-				addTrial(tr.Makespan)
-				stats.CCRReplays++
-			}
-			continue
-		}
-		ffWall = ff.Measure.Wall.Seconds()
-		ffEff = experiments.Efficiency(native.Measure, ff.Measure)
-		for t := 0; t < trials; t++ {
-			if idx := plan.trialAt[i] + t; ok[idx] {
-				addTrial(res[idx].Measure.Wall.Seconds())
-			}
-		}
-	}
-	if err := persistAggregates(st, sh, cfg, trials, scenarios, aggs); err != nil {
-		return PopulateStats{}, err
-	}
-	stats.AggRecords = len(scenarios)
-	return stats, nil
+	_, stats, err := run(cfg, scenarios, sh)
+	return stats, err
 }
 
 // ulpEq reports whether two float64s are equal to within one unit in the

@@ -45,27 +45,38 @@ func TestCampaignShardedMergeByteIdentical(t *testing.T) {
 	const shards = 3
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(1))
+	units, owned := 0, 0
 	for _, i := range rng.Perm(shards) {
 		sh := store.Shard{Index: i, Count: shards}
 		st, err := store.Open(dir, sh.String())
 		if err != nil {
 			t.Fatal(err)
 		}
+		aggsBefore := len(st.Records("campaign-agg"))
 		cfg := base
 		cfg.Store = st
 		pstats, err := campaign.Populate(cfg, scs, sh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pstats.Scenarios != len(scs) || pstats.Trials != 9 || pstats.AggRecords != len(scs) {
-			t.Fatalf("shard %v populate stats: %+v", sh, pstats)
+		// Every shard sees the same unit list (unique replicated trials
+		// plus the 9 ccr replays). A crash-free trial may hit the
+		// fault-free reference an earlier shard stored.
+		if pstats.Hits+pstats.Computed != pstats.Owned || pstats.Unkeyed != 0 ||
+			(units != 0 && pstats.Units != units) || pstats.Units <= 9 {
+			t.Fatalf("shard %v populate stats: %v", sh, pstats)
 		}
-		if pstats.CCRReplays != 3 {
-			t.Fatalf("shard %v replayed %d ccr trials, want 3 of 9", sh, pstats.CCRReplays)
+		units = pstats.Units
+		owned += pstats.Owned
+		if got := len(st.Records("campaign-agg")) - aggsBefore; got != len(scs) {
+			t.Fatalf("shard %v persisted %d aggregate records, want %d", sh, got, len(scs))
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if owned != units {
+		t.Fatalf("shards own %d units in total, want each of %d exactly once", owned, units)
 	}
 
 	st, err := store.Open(dir, "merge")

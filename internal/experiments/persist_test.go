@@ -103,12 +103,12 @@ func TestResultRoundTripExact(t *testing.T) {
 	}
 }
 
-// TestPopulateStoreShardsPartitionAndMerge is the tentpole property at
+// TestSweepShardPartitionAndMerge is the tentpole property at
 // this layer: random shard counts and populate orders must partition the
 // unique points exactly (each simulated once, by one shard), and a plain
 // warm sweep over the merged store must reproduce the single-process
 // sweep with zero misses.
-func TestPopulateStoreShardsPartitionAndMerge(t *testing.T) {
+func TestSweepShardPartitionAndMerge(t *testing.T) {
 	specs := storedSpecs()
 	direct, err := SweepN(1, specs)
 	if err != nil {
@@ -128,17 +128,17 @@ func TestPopulateStoreShardsPartitionAndMerge(t *testing.T) {
 		for _, i := range rng.Perm(shards) {
 			sh := store.Shard{Index: i, Count: shards}
 			st := openStore(t, dir, sh.String())
-			res, ok, stats, err := PopulateStore(2, st, sh, specs)
+			res, ok, stats, err := SweepShard(2, st, sh, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.Specs != len(specs) || stats.Unique != 4 || stats.Unkeyed != 0 {
+			if len(ok) != len(specs) || stats.Units != 4 || stats.Unkeyed != 0 || stats.Owned != stats.Computed {
 				t.Fatalf("shard %v stats: %+v", sh, stats)
 			}
 			if stats.Hits != 0 {
 				t.Fatalf("disjoint shards must not hit each other's work: %+v", stats)
 			}
-			totalSim += stats.Simulated
+			totalSim += stats.Computed
 			for j, owned := range ok {
 				if !owned {
 					continue
@@ -178,10 +178,10 @@ func TestPopulateStoreShardsPartitionAndMerge(t *testing.T) {
 	}
 }
 
-// TestPopulateStoreUnkeyedSpecs: a spec the memo cannot fingerprint is
+// TestSweepShardUnkeyedSpecs: a spec the memo cannot fingerprint is
 // skipped by every shard (its result cannot outlive the process) and
 // simulated by the merge run instead.
-func TestPopulateStoreUnkeyedSpecs(t *testing.T) {
+func TestSweepShardUnkeyedSpecs(t *testing.T) {
 	unkeyed := Spec{Name: "hooked", Mode: Intra, Logical: 1,
 		Opts: core.Options{Hooks: core.Hooks{BeforeTaskExec: func(int, int) {}}},
 		App: App{Name: "x", key: "same", main: func(rt core.Runner) (sim.Time, map[string]*apputil.KernelTime, core.Stats, error) {
@@ -192,7 +192,7 @@ func TestPopulateStoreUnkeyedSpecs(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		sh := store.Shard{Index: i, Count: 2}
 		st := openStore(t, dir, sh.String())
-		_, ok, stats, err := PopulateStore(1, st, sh, specs)
+		_, ok, stats, err := SweepShard(1, st, sh, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,5 +278,31 @@ func TestStoreCorruptionResimulated(t *testing.T) {
 	}
 	if canonicalize(t, res2) != canonicalize(t, fresh) {
 		t.Fatal("undecodable record served instead of re-simulating")
+	}
+}
+
+// TestOldSchemaRecordIsAMiss: a record from an older payload schema passes
+// its checksum but decodes to no result. The sweep must count it as a
+// miss, not a hit, so misses=0 keeps meaning that nothing was recomputed,
+// and emit what a storeless run emits.
+func TestOldSchemaRecordIsAMiss(t *testing.T) {
+	specs := smallSpecs()[:1]
+	st := openStore(t, t.TempDir(), "old")
+	if err := st.Put(resultKind, store.Key(specs[0].Key()), map[string]string{"schema": "old"}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := SweepStore(1, st, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.Hits != 0 || s.Misses != 1 {
+		t.Fatalf("stats %+v, want hits=0 misses=1", s)
+	}
+	plain, err := SweepN(1, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonicalize(t, res) != canonicalize(t, plain) {
+		t.Fatal("old-schema record changed the output")
 	}
 }

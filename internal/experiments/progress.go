@@ -4,9 +4,9 @@ import "sync/atomic"
 
 // Progress is the process-wide work-unit counter behind cmd/sweep's
 // -progress heartbeat. Layers that run simulation work through the pools
-// plan units up front and mark them done as they finish: SweepStore counts
-// each unique sweep point, PopulateStore each owned unique point, and the
-// jobstream layer each (rate, scheduler, policy, trial) cell. Counts are
+// plan units up front and mark them done as they finish: the sweep counts
+// each unique point its shard owns, and the jobstream layer each owned
+// (rate, scheduler, policy, trial) cell. Counts are
 // cumulative over the process lifetime — a heartbeat only ever reads the
 // ratio, so monotone is exactly what it wants.
 var Progress ProgressCounter

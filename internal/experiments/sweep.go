@@ -387,40 +387,86 @@ func forEachUnique(workers, n int, fn func(eng *sim.Engine, sc *mpi.Scratch, j i
 // originally simulated it (the memo overlay below is applied after store
 // lookup, so Memoized flags are untouched by store warmth).
 func SweepStore(workers int, st *store.Store, specs []Spec) ([]Result, error) {
+	res, _, _, err := SweepShard(workers, st, store.Shard{}, specs)
+	return res, err
+}
+
+// SweepShard is the one sweep body: it runs the unique points shard sh
+// owns, through the store when st is set, and returns their results in
+// spec order with an ownership mask (owned[i] reports whether specs[i]
+// was served). The zero shard owns every point.
+//
+// An active shard is the build phase of a multi-process sweep. Every
+// shard derives the identical deduplicated point list (the memo key is
+// content-addressed) and claims unique points by index modulo the shard
+// count: an exact partition, so N shards together simulate each unique
+// point exactly once, and their merged store lets a final plain run emit
+// the single-process results with zero simulations. An active shard skips
+// unkeyed points, whose results cannot outlive the process; the merge run
+// simulates them.
+func SweepShard(workers int, st *store.Store, sh store.Shard, specs []Spec) ([]Result, []bool, store.PopulateStats, error) {
 	uniq, keys, uniqOf := dedupe(specs)
+	stats := store.PopulateStats{Units: len(uniq)}
+	owns := make([]bool, len(uniq))
+	for j, key := range keys {
+		if key == "" && sh.Active() {
+			stats.Unkeyed++
+		} else if sh.Owns(j) {
+			owns[j] = true
+			stats.Owned++
+		}
+	}
+
+	memo := store.Memo[Result]{Store: st, Kind: resultKind, Codec: resultCodec}
 	runs := make([]Result, len(uniq))
 	errs := make([]error, len(uniq))
-	Progress.Plan(len(uniq))
+	var hits atomic.Int64
+	Progress.Plan(stats.Owned)
 	forEachUnique(workers, len(uniq), func(eng *sim.Engine, sc *mpi.Scratch, j int) {
-		runs[j], _, errs[j] = runOrLoad(eng, sc, st, uniq[j], keys[j])
-		Progress.Done()
+		if !owns[j] {
+			return
+		}
+		defer Progress.Done()
+		var hit bool
+		runs[j], hit, errs[j] = memo.Do(keys[j], func() (Result, error) { return runSpec(eng, sc, uniq[j]) })
+		if hit {
+			hits.Add(1)
+		}
 	})
+	stats.Hits = int(hits.Load())
+	stats.Computed = stats.Owned - stats.Hits
 
 	// Report the first failure in spec order, so the error is the same
 	// whatever the worker count.
 	for i, s := range specs {
 		if err := errs[uniqOf[i]]; err != nil {
-			return nil, fmt.Errorf("sweep %q: %w", s.Name, err)
+			return nil, nil, stats, fmt.Errorf("sweep %q: %w", s.Name, err)
 		}
 	}
 
 	out := make([]Result, len(specs))
+	owned := make([]bool, len(specs))
 	seen := make([]bool, len(uniq))
 	for i, s := range specs {
-		r := runs[uniqOf[i]]
+		j := uniqOf[i]
+		if !owns[j] {
+			continue
+		}
+		r := runs[j]
 		r.Name = s.Name
 		// The memo can serve one spec from another mode's identical
 		// simulation (ccr <-> native); the reported mode is always the
 		// spec's own.
 		r.Mode = s.Mode.String()
-		if seen[uniqOf[i]] {
+		if seen[j] {
 			r.Memoized = true
 			r.ElapsedMS = 0
 		}
-		seen[uniqOf[i]] = true
+		seen[j] = true
 		out[i] = r
+		owned[i] = true
 	}
-	return out, nil
+	return out, owned, stats, nil
 }
 
 // runSpec simulates one sweep point. eng, when non-nil, is a Reset pooled

@@ -159,7 +159,7 @@ func prepare(cfg Config, w *scenario.Workload, r *memoRunner, record recordFunc)
 	}
 	keys = make([]string, len(cells))
 	for i, c := range cells {
-		keys[i] = cellKey(streamFPs[c.rateIdx], c.scheduler, c.policy, c.trial, seed)
+		keys[i] = cellFingerprint(streamFPs[c.rateIdx], c.scheduler, c.policy, c.trial, seed)
 	}
 	return
 }
@@ -169,35 +169,56 @@ func prepare(cfg Config, w *scenario.Workload, r *memoRunner, record recordFunc)
 // trial aggregates per group. Output is byte-identical at any worker
 // count and any store temperature.
 func Run(cfg Config, w *scenario.Workload) (*Result, error) {
-	return run(cfg, w, experiments.RecordTraces)
+	res, _, err := run(cfg, w, store.Shard{}, experiments.RecordTraces)
+	return res, err
 }
 
-// run is Run with the trace recorder as a parameter (nil: crashed
-// replicated jobs execute the app).
-func run(cfg Config, w *scenario.Workload, record recordFunc) (*Result, error) {
+// run is the one cell loop behind Run and Populate: it serves the cells
+// shard sh owns through the store's memo and aggregates them per group
+// (the zero shard owns every cell). The trace recorder is a parameter
+// (nil: crashed replicated jobs execute the app).
+func run(cfg Config, w *scenario.Workload, sh store.Shard, record recordFunc) (*Result, store.PopulateStats, error) {
 	runner := newMemoRunner(cfg.Store)
 	cells, groups, seed, classes, keys, err := prepare(cfg, w, runner, record)
 	if err != nil {
-		return nil, err
+		return nil, store.PopulateStats{}, err
 	}
-	wires := make([]cellWire, len(cells))
-	errs := make([]error, len(cells))
-	experiments.Progress.Plan(len(cells))
-	experiments.ForEach(cfg.Workers, len(cells), func(i int) {
-		defer experiments.Progress.Done()
-		c := cells[i]
-		wires[i], _, errs[i] = runOrLoadCell(cfg.Store, keys[i], cellParams{
-			w: w, rate: c.rate, seed: seed, trial: c.trial,
-			scheduler: c.scheduler, policy: c.policy,
-			classes: classes, runner: runner,
-		})
-	})
-	for i, err := range errs {
-		if err != nil {
-			c := cells[i]
-			return nil, fmt.Errorf("jobstream: rate %g %s/%s trial %d: %w", c.rate, c.scheduler, c.policy, c.trial, err)
+	stats := store.PopulateStats{Units: len(cells)}
+	var owned []int
+	for i := range cells {
+		if sh.Owns(i) {
+			owned = append(owned, i)
 		}
 	}
+	stats.Owned = len(owned)
+
+	memo := store.Memo[cellWire]{Store: cfg.Store, Kind: cellKind}
+	wires := make([]cellWire, len(cells))
+	hits := make([]bool, len(cells))
+	errs := make([]error, len(cells))
+	experiments.Progress.Plan(len(owned))
+	experiments.ForEach(cfg.Workers, len(owned), func(k int) {
+		defer experiments.Progress.Done()
+		i := owned[k]
+		c := cells[i]
+		wires[i], hits[i], errs[i] = memo.Do(keys[i], func() (cellWire, error) {
+			return runCell(cellParams{
+				w: w, rate: c.rate, seed: seed, trial: c.trial,
+				scheduler: c.scheduler, policy: c.policy,
+				classes: classes, runner: runner,
+			})
+		})
+	})
+	for _, i := range owned {
+		if err := errs[i]; err != nil {
+			c := cells[i]
+			return nil, stats, fmt.Errorf("jobstream: rate %g %s/%s trial %d: %w", c.rate, c.scheduler, c.policy, c.trial, err)
+		}
+		if hits[i] {
+			stats.Hits++
+		}
+	}
+	stats.Computed = stats.Owned - stats.Hits
 
 	res := &Result{
 		Nodes: w.Nodes, Jobs: w.Jobs, Trials: cfg.trials(), Seed: seed,
@@ -205,7 +226,8 @@ func run(cfg Config, w *scenario.Workload, record recordFunc) (*Result, error) {
 	}
 	type aggs struct{ thr, bsld, p95, wait, util, good campaign.Agg }
 	acc := make([]aggs, groups)
-	for i, c := range cells {
+	for _, i := range owned {
+		c := cells[i]
 		g := &res.Groups[c.group]
 		if g.Trials == 0 {
 			g.RateJobsPerSec, g.Scheduler, g.Policy = c.rate, c.scheduler, c.policy
@@ -236,7 +258,7 @@ func run(cfg Config, w *scenario.Workload, record recordFunc) (*Result, error) {
 		g.Util = a.util.Stat()
 		g.Goodput = a.good.Stat()
 	}
-	return res, nil
+	return res, stats, nil
 }
 
 // fmtStat renders a Stat's mean for the table.

@@ -337,12 +337,12 @@ func TestRunStoreWarmAndSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Owned != stats.Hits+stats.Simulated {
+		if stats.Owned != stats.Hits+stats.Computed {
 			t.Fatalf("shard %d stats do not add up: %+v", i, stats)
 		}
 		totalOwned += stats.Owned
-		if stats.Cells != 8 {
-			t.Fatalf("shard %d sees %d cells, want 8", i, stats.Cells)
+		if stats.Units != 8 {
+			t.Fatalf("shard %d sees %d cells, want 8", i, stats.Units)
 		}
 		if err := sst.Close(); err != nil {
 			t.Fatal(err)
@@ -356,7 +356,7 @@ func TestRunStoreWarmAndSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rc recordCounter
-	merged, err := run(Config{Trials: 2, Store: mst}, w, rc.record)
+	merged, _, err := run(Config{Trials: 2, Store: mst}, w, store.Shard{}, rc.record)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // crashWorkload is a workload whose replicated jobs crash: the node MTBF
@@ -210,7 +211,7 @@ func TestJobstreamRecordsOnlyCrashedClasses(t *testing.T) {
 	unreplicated.Policies = []string{"native", "ccr"}
 	for name, w := range map[string]*scenario.Workload{"fault-free": free, "native/ccr": unreplicated} {
 		var rc recordCounter
-		if _, err := run(Config{Trials: 2, Workers: 2}, w, rc.record); err != nil {
+		if _, _, err := run(Config{Trials: 2, Workers: 2}, w, store.Shard{}, rc.record); err != nil {
 			t.Fatal(err)
 		}
 		if n := rc.total(); n != 0 {

@@ -172,3 +172,24 @@ func FuzzReadShard(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseShard checks the -shard boundary: arbitrary input never
+// panics, and every accepted input is the canonical String of the shard
+// it parses to, with 0 <= Index < Count.
+func FuzzParseShard(f *testing.F) {
+	for _, s := range []string{"0/1", "1/3", "2/3", "", "3/3", "-1/2", "01/3", "+1/3", "1/", "a/b", "9999999999999999999/1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sh, err := ParseShard(s)
+		if err != nil {
+			return
+		}
+		if sh.Index < 0 || sh.Index >= sh.Count {
+			t.Fatalf("ParseShard(%q) accepted out-of-range %+v", s, sh)
+		}
+		if got := sh.String(); got != s {
+			t.Fatalf("ParseShard(%q).String() = %q", s, got)
+		}
+	})
+}

@@ -19,7 +19,9 @@ type Shard struct {
 	Count int // total shards
 }
 
-// ParseShard parses the CLI form "i/N" with 0 <= i < N.
+// ParseShard parses the CLI form "i/N" with 0 <= i < N, spelled
+// canonically (as String renders it: no signs, no leading zeros), so a
+// shard has exactly one label.
 func ParseShard(s string) (Shard, error) {
 	is, ns, ok := strings.Cut(s, "/")
 	if !ok {
@@ -33,7 +35,11 @@ func ParseShard(s string) (Shard, error) {
 	if n < 1 || i < 0 || i >= n {
 		return Shard{}, fmt.Errorf("store: shard %q needs 0 <= i < N", s)
 	}
-	return Shard{Index: i, Count: n}, nil
+	sh := Shard{Index: i, Count: n}
+	if sh.String() != s {
+		return Shard{}, fmt.Errorf("store: shard %q is not canonical (want %q)", s, sh.String())
+	}
+	return sh, nil
 }
 
 // Active reports whether the shard selects a strict subset of the work.

@@ -130,19 +130,18 @@ func (s *Store) readShard(name string) error {
 	s.files++
 	for len(data) > 0 {
 		line := data
+		// Only a final line with no newline is a torn append; a complete
+		// line that fails its checksum is corrupt wherever it sits.
 		nl := bytes.IndexByte(data, '\n')
-		tail := false
 		if nl < 0 {
 			data = nil
-			tail = true // no newline: a torn final append
 		} else {
 			line = data[:nl]
 			data = data[nl+1:]
-			tail = len(data) == 0
 		}
 		rec, ok := decodeLine(line)
 		if !ok {
-			if tail {
+			if nl < 0 {
 				s.truncated++
 			} else {
 				s.corrupt++
@@ -213,15 +212,26 @@ func (s *Store) insert(kind, key string, payload json.RawMessage) bool {
 // Get returns the payload cached at (kind, key), if any. It is the cache
 // hot path: zero allocations on a hit or a miss.
 func (s *Store) Get(kind, key string) (json.RawMessage, bool) {
+	p, ok := s.lookup(kind, key)
+	s.count(ok)
+	return p, ok
+}
+
+// lookup reads the view without touching the traffic counters.
+func (s *Store) lookup(kind, key string) (json.RawMessage, bool) {
 	s.mu.RLock()
 	p, ok := s.mem[kind][key]
 	s.mu.RUnlock()
-	if ok {
+	return p, ok
+}
+
+// count records one served (hit) or unserved (miss) lookup.
+func (s *Store) count(hit bool) {
+	if hit {
 		s.hits.Add(1)
 	} else {
 		s.misses.Add(1)
 	}
-	return p, ok
 }
 
 // Put serializes payload and appends it at (kind, key), making it visible

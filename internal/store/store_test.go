@@ -155,6 +155,35 @@ func TestFlippedByte(t *testing.T) {
 	}
 }
 
+// TestFlippedByteInLastRecord corrupts the final, newline-terminated
+// record: the line is complete, so its checksum failure is corruption, not
+// a torn append.
+func TestFlippedByteInLastRecord(t *testing.T) {
+	dir := t.TempDir()
+	keys := writeStore(t, dir, 3)
+	name := shardFile(t, dir)
+	data, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	data[(last+len(data))/2] ^= 0x20
+	if err := os.WriteFile(name, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir, "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Truncated != 0 || st.Records != 2 {
+		t.Fatalf("stats %+v, want 2 live records, corrupt=1, truncated=0", st)
+	}
+	if _, ok := s.Get("result", keys[2]); ok {
+		t.Fatal("corrupt record served")
+	}
+}
+
 // TestDuplicateRecords concatenates a shard file with itself and adds a
 // re-Put of an existing key: duplicates are counted and deduplicated, the
 // view unchanged.
@@ -277,7 +306,7 @@ func TestParseShard(t *testing.T) {
 	if (Shard{}).Active() || !(Shard{}).Owns(17) {
 		t.Fatal("zero shard must own everything")
 	}
-	for _, bad := range []string{"", "3", "3/1", "-1/2", "a/b", "1/0"} {
+	for _, bad := range []string{"", "3", "3/1", "-1/2", "a/b", "1/0", "01/3", "+1/3", "1/03"} {
 		if _, err := ParseShard(bad); err == nil {
 			t.Fatalf("ParseShard(%q) accepted", bad)
 		}
